@@ -44,7 +44,7 @@ from .geometry import PerturbationSpec, polyline_csv, radial_perturbation_curvat
 from .normalize import fit_exponential, normalized_series, rescale_state, tau_of_t
 from .rhs import rhs_convolution, rhs_direct, rhs_fast, rhs_split
 from .spectral import FlowParams, SpectralState, parse_lambda, seminorm, synthesize
-from .stepping import StepControl, Trajectory, integrate
+from .stepping import RunStats, StepControl, Trajectory, integrate
 
 FORMAT_VERSION = 1
 
@@ -95,25 +95,52 @@ class RunConfig:
     seed: int = 0
 
 
-def _require_keys(section: dict, allowed: set, where: str):
+def _require_keys(section: dict, allowed: set, where: str, required: tuple = ()):
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"{where}.{key} is required")
+
+
+def _integer(value, where: str) -> int:
+    """An integer field: rejects booleans and non-integral numbers (no truncation)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, where: str) -> float:
+    """A real field: a number or numeric text (YAML reads 1e-10 as text); no booleans."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def _window(value, where: str) -> tuple[float, float]:
+    """A fit window: two increasing numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where} must be a pair [lo, hi], got {value!r}")
+    lo, hi = (_real(v, where) for v in value)
+    if not lo < hi:
+        raise ConfigError(f"{where} must be increasing, got {value!r}")
+    return lo, hi
 
 
 def _parse_params(section: dict) -> FlowParams:
-    _require_keys(section, {"p", "lambda", "n_max"}, "params")
-    for key in ("p", "lambda", "n_max"):
-        if key not in section:
-            raise ConfigError(f"params.{key} is required")
+    _require_keys(section, {"p", "lambda", "n_max"}, "params", required=("p", "lambda", "n_max"))
     lam_spec = section["lambda"]
-    rational = None
-    if isinstance(lam_spec, str):
-        lam, rational = parse_lambda(lam_spec)
-    else:
-        lam = float(lam_spec)
+    p, n_max = _integer(section["p"], "params.p"), _integer(section["n_max"], "params.n_max")
     try:
-        return FlowParams(p=int(section["p"]), lam=lam, n_max=int(section["n_max"]), rational=rational)
+        if isinstance(lam_spec, str):
+            lam, rational = parse_lambda(lam_spec)
+        else:
+            lam, rational = _real(lam_spec, "params.lambda"), None
+        return FlowParams(p=p, lam=lam, n_max=n_max, rational=rational)
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from exc
 
@@ -122,16 +149,20 @@ def _parse_init(section: dict) -> dict:
     if "perturbation" in section:
         _require_keys(section, {"perturbation"}, "init")
         pert = dict(section["perturbation"])
-        _require_keys(pert, {"m", "n", "delta", "harmonics"}, "init.perturbation")
-        harmonics = tuple(
-            (int(h["j"]), float(h["amplitude"]), float(h.get("phase", 0.0)))
-            for h in pert.get("harmonics", [{"j": 1, "amplitude": 1.0}])
-        )
-        for h in pert.get("harmonics", []):
-            _require_keys(h, {"j", "amplitude", "phase"}, "init.perturbation.harmonics[]")
+        where = "init.perturbation"
+        _require_keys(pert, {"m", "n", "delta", "harmonics"}, where, required=("m", "n", "delta"))
+        harmonics = []
+        for h in pert.get("harmonics", [{"j": 1, "amplitude": 1.0}]):
+            at = f"{where}.harmonics[]"
+            _require_keys(h, {"j", "amplitude", "phase"}, at, required=("j", "amplitude"))
+            j, amplitude = _integer(h["j"], f"{at}.j"), _real(h["amplitude"], f"{at}.amplitude")
+            harmonics.append((j, amplitude, _real(h.get("phase", 0.0), f"{at}.phase")))
         try:
             spec = PerturbationSpec(
-                m=int(pert["m"]), n=int(pert["n"]), delta=float(pert["delta"]), harmonics=harmonics
+                m=_integer(pert["m"], f"{where}.m"),
+                n=_integer(pert["n"], f"{where}.n"),
+                delta=_real(pert["delta"], f"{where}.delta"),
+                harmonics=tuple(harmonics),
             )
         except ValueError as exc:
             raise ConfigError(f"init.perturbation: {exc}") from exc
@@ -141,9 +172,11 @@ def _parse_init(section: dict) -> dict:
         raise ConfigError("init.mean is required for harmonic initial data")
     harmonics = []
     for h in section.get("harmonics", []):
-        _require_keys(h, {"n", "cos", "sin"}, "init.harmonics[]")
-        harmonics.append((int(h["n"]), float(h.get("cos", 0.0)), float(h.get("sin", 0.0))))
-    return {"kind": "harmonics", "mean": float(section["mean"]), "harmonics": harmonics}
+        at = "init.harmonics[]"
+        _require_keys(h, {"n", "cos", "sin"}, at, required=("n",))
+        cos, sin = (_real(h.get(key, 0.0), f"{at}.{key}") for key in ("cos", "sin"))
+        harmonics.append((_integer(h["n"], f"{at}.n"), cos, sin))
+    return {"kind": "harmonics", "mean": _real(section["mean"], "init.mean"), "harmonics": harmonics}
 
 
 def _parse_control(section: dict) -> StepControl:
@@ -159,7 +192,10 @@ def _parse_control(section: dict) -> StepControl:
     }
     _require_keys(section, allowed, "control")
     defaults = StepControl()
-    kwargs = {key: type(getattr(defaults, key))(value) for key, value in section.items()}
+    kwargs = {
+        key: (_integer if isinstance(getattr(defaults, key), int) else _real)(value, f"control.{key}")
+        for key, value in section.items()
+    }
     try:
         return StepControl(**kwargs)
     except ValueError as exc:
@@ -172,12 +208,11 @@ def _parse_analysis(section: dict) -> AnalysisConfig:
     kwargs = {}
     for key, value in section.items():
         if key == "c_override":
-            kwargs[key] = None if value is None else float(value)
+            kwargs[key] = None if value is None else _real(value, "analysis.c_override")
         elif key == "rate_tolerance":
-            kwargs[key] = float(value)
+            kwargs[key] = _real(value, "analysis.rate_tolerance")
         else:
-            lo, hi = value
-            kwargs[key] = (float(lo), float(hi))
+            kwargs[key] = _window(value, f"analysis.{key}")
     return AnalysisConfig(**kwargs)
 
 
@@ -204,7 +239,7 @@ def parse_config(doc: dict) -> RunConfig:
         control=_parse_control(doc.get("control", {})),
         analysis=_parse_analysis(doc.get("analysis", {})),
         output=_parse_output(doc.get("output", {})),
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc.get("seed", 0), "seed"),
     )
 
 
@@ -309,6 +344,7 @@ def write_trajectory(path: str, traj: Trajectory, config_echo: dict):
             "kind": "trailer",
             "events": [[t, kind, detail] for t, kind, detail in traj.events],
             "T_est": traj.T_est,
+            "run_stats": asdict(traj.stats) if traj.stats is not None else None,
         }
         fh.write(json.dumps(trailer) + "\n")
 
@@ -334,6 +370,7 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
         elif rec["kind"] == "trailer":
             traj.events = [(t, kind, detail) for t, kind, detail in rec["events"]]
             traj.T_est = rec.get("T_est")
+            traj.stats = RunStats(**rec["run_stats"]) if rec.get("run_stats") else None
     return traj, header
 
 

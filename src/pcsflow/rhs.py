@@ -17,7 +17,7 @@ components.  Three evaluators are provided:
 * ``rhs_direct``      -- literal tuple enumeration (the oracle; cost
                          (2*n_max+1)^{p+2}, guarded to n_max <= 12, p <= 3);
 * ``rhs_convolution`` -- term-by-term direct convolution, O(n_max^2) at p=1;
-* ``rhs_fast``        -- pseudospectral product on a zero-padded grid.
+* ``rhs_fast``        -- pseudospectral product on a zero-padded grid (``RhsPlan``).
 
 The padded grid has M >= (p+3)*n_max + 1 points (rounded up to a power of
 two), so products of band-limited factors cannot alias back into the band:
@@ -37,6 +37,7 @@ from .spectral import SpectralState
 __all__ = [
     "h_kernel",
     "pad_size",
+    "RhsPlan",
     "grid_extrema",
     "rhs_direct",
     "rhs_convolution",
@@ -77,30 +78,35 @@ def pad_size(params) -> int:
     return m
 
 
-def _synth_on(coeffs: np.ndarray, m: int) -> np.ndarray:
-    half = np.zeros(m // 2 + 1, dtype=np.complex128)
-    half[: len(coeffs)] = coeffs
-    return irfft(half, n=m) * m
+class RhsPlan:
+    """The ``rhs_fast`` evaluator prepared for one FlowParams: the pad size, the
+    multipliers (1, i*lam*n, -(lam*n)^2) giving the spectra of k, k', k'' and a
+    reusable buffer, so a call is one batched ``irfft`` and one ``rfft``.  With
+    ``normalized`` it returns p * deriv - c.  Not thread-safe (the buffer)."""
 
+    def __init__(self, params, normalized: bool = False):
+        self.params, self.normalized = params, normalized
+        self.m = pad_size(params)
+        lam_n = params.lam * np.arange(params.n_max + 1, dtype=np.float64)
+        self._mult = np.array([np.ones_like(lam_n), 1j * lam_n, -(lam_n**2)])
+        self._buf = np.zeros((3, self.m // 2 + 1), dtype=np.complex128)
 
-def _rhs_grid(state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudospectral derivative plus the padded-grid profile samples."""
-    p, lam, n_max = state.params.p, state.params.lam, state.params.n_max
-    m = pad_size(state.params)
-    n = np.arange(n_max + 1, dtype=np.float64)
-    k = _synth_on(state.coeffs, m)
-    kd = _synth_on(state.coeffs * (1j * lam * n), m)
-    kdd = _synth_on(state.coeffs * -((lam * n) ** 2), m)
-    kp = k**p
-    vals = kp * (k * kdd + (p - 1) * kd**2 + (k * k) / p)
-    deriv = np.asarray(rfft(vals)[: n_max + 1] / m)
-    deriv[0] = deriv[0].real
-    return deriv, k
+    def __call__(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mode derivative, padded-grid profile k) at the coefficients."""
+        p, m, size = self.params.p, self.m, len(coeffs)
+        np.multiply(self._mult, coeffs, out=self._buf[:, :size])
+        k, kd, kdd = irfft(self._buf, n=m) * m
+        vals = k**p * (k * kdd + (p - 1) * kd**2 + (k * k) / p)
+        deriv = rfft(vals)[:size] / m
+        if self.normalized:
+            deriv = p * deriv - coeffs
+        deriv[0] = deriv[0].real
+        return deriv, k
 
 
 def grid_extrema(state: SpectralState) -> tuple[float, float]:
     """(min, max) of the profile on the dealiasing grid."""
-    k = _synth_on(state.coeffs, pad_size(state.params))
+    _, k = RhsPlan(state.params)(state.coeffs)
     return float(k.min()), float(k.max())
 
 
@@ -110,8 +116,7 @@ def rhs_fast(state: SpectralState) -> np.ndarray:
     Equals ``rhs_direct`` to round-off for every admissible state; cost is a
     handful of FFTs of length O(p*n_max).
     """
-    deriv, _ = _rhs_grid(state)
-    return deriv
+    return RhsPlan(state.params)(state.coeffs)[0]
 
 
 def rhs_direct(state: SpectralState) -> np.ndarray:
@@ -216,13 +221,10 @@ def normalized_rhs(state: SpectralState, check_positivity: bool = True) -> np.nd
     linearized rates -(p*lam^2*n^2 - p - 1) on nonzero modes and +(p+1) on
     the mean.  Requires the profile to stay strictly positive.
     """
-    deriv, grid = _rhs_grid(state)
-    if check_positivity:
-        gmin = float(grid.min())
-        if gmin <= 0.0:
-            raise PositivityError(
-                f"normalized profile reached min {gmin:.3e} at t={state.t:.6g}; must stay positive"
-            )
-    out = state.params.p * deriv - state.coeffs
-    out[0] = out[0].real
+    out, grid = RhsPlan(state.params, normalized=True)(state.coeffs)
+    gmin = float(grid.min())
+    if check_positivity and gmin <= 0.0:
+        raise PositivityError(
+            f"normalized profile reached min {gmin:.3e} at t={state.t:.6g}; must stay positive"
+        )
     return out

@@ -30,6 +30,7 @@ __all__ = [
     "synthesize",
     "analyze_grid",
     "seminorm",
+    "coeff_seminorm",
     "cl_deviation_bound",
     "grid_derivative_sup",
 ]
@@ -198,10 +199,15 @@ def analyze_grid(field: GridField) -> SpectralState:
 
 def seminorm(state: SpectralState, beta: float) -> float:
     """max over nonzero band modes of n^beta * max(|Re c[n]|, |Im c[n]|)."""
-    c = state.coeffs[1:]
+    return coeff_seminorm(state.coeffs, beta)
+
+
+def coeff_seminorm(coeffs: np.ndarray, beta: float) -> float:
+    """``seminorm`` of a bare half-spectrum array c[0..n_max]."""
+    c = coeffs[1:]
     if c.size == 0:
         return 0.0
-    n = np.arange(1, state.params.n_max + 1, dtype=np.float64)
+    n = np.arange(1, c.size + 1, dtype=np.float64)
     weighted = n**beta * np.maximum(np.abs(c.real), np.abs(c.imag))
     return float(np.max(weighted))
 

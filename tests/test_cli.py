@@ -89,6 +89,34 @@ class TestConfig:
         assert state2.coeffs[1] == pytest.approx(0.0025 - 0.001j)
 
 
+class TestStrictConfig:
+    """Malformed values end in exit 1 with one stderr line and no files."""
+
+    def assert_config_error(self, tmp_path, capsys, doc, message):
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_fractional_snapshots_per_decade(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CONST_CONFIG))
+        doc["control"]["snapshots_per_decade"] = 2.7
+        self.assert_config_error(tmp_path, capsys, doc, "control.snapshots_per_decade must be an integer")
+
+    def test_scalar_power_window(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CONST_CONFIG))
+        doc["analysis"] = {"power_window": 5}
+        self.assert_config_error(tmp_path, capsys, doc, "analysis.power_window must be a pair")
+
+    def test_perturbation_harmonic_without_j(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PERT_CONFIG))
+        doc["init"]["perturbation"]["harmonics"] = [{"amplitude": 1.0, "phase": 0.0}]
+        self.assert_config_error(tmp_path, capsys, doc, "init.perturbation.harmonics[].j is required")
+
+
 class TestSimulate:
     def test_constant_run(self, tmp_path):
         code, traj_path = run_simulation(tmp_path, CONST_CONFIG)
@@ -200,6 +228,16 @@ class TestTrajectoryIO:
             assert a.t == b.t
             assert np.array_equal(a.coeffs, b.coeffs)
         assert back.events == traj.events
+
+    def test_run_stats_round_trip(self, tmp_path):
+        params = FlowParams(p=1, lam=2.0, n_max=4)
+        traj = integrate(make_state(params, {0: 1.0, 1: 0.002}), StepControl(k0_stop=100.0), trap_c=8.0)
+        path = tmp_path / "t.jsonl"
+        cli.write_trajectory(str(path), traj, {})
+        trailer = json.loads(path.read_text().splitlines()[-1])
+        assert trailer["run_stats"]["accepted"] == traj.stats.accepted > 0
+        back, _ = cli.read_trajectory(str(path))
+        assert back.stats == traj.stats
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "junk.jsonl"

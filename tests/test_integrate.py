@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcsflow.blowup import estimate_T
+from pcsflow.blowup import estimate_T, trap_margin
 from pcsflow.errors import PositivityError
 from pcsflow.normalize import rescale_state
 from pcsflow.rhs import normalized_rhs
@@ -136,6 +136,24 @@ class TestIntegratePerturbed:
                 matched += 1
         assert matched >= 50
 
+    def test_trap_margin_checked_at_every_step(self, run):
+        # the per-step minimum covers every snapshot and stays inside the cone
+        assert run.stats.min_trap_margin >= 0.0
+        assert run.stats.min_trap_margin <= min(trap_margin(s, 256.0) for s in run.snapshots)
+
+    def test_rungs_landed_with_at_most_two_steps_each(self, run):
+        ratio = 10 ** (1 / 40)
+        k0 = run.k0[1:-1]
+        levels = run.k0[0] * ratio ** np.round(np.log(k0 / run.k0[0]) / np.log(ratio))
+        assert np.all(np.abs(k0 - levels) <= 1e-12 * levels)
+        assert 0 < run.stats.landing <= 2 * len(k0)
+
+    def test_fsal_costs_six_evaluations_per_step(self, run):
+        stats = run.stats
+        assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected + stats.landing)
+        assert 0.0 < stats.dt_min <= stats.dt_max and 0.0 <= stats.cap_bound_frac <= 1.0
+        assert stats.wall_s > 0.0
+
     def test_trap_violation_event_for_bad_data(self):
         params = FlowParams(p=1, lam=2.0, n_max=8)
         init = make_state(params, {0: 1.0, 1: 0.005})  # margin 1 - 256*0.005 < 0
@@ -199,6 +217,15 @@ class TestIntegrateNormalized:
         drop = abs(last.coeffs[1]) / abs(first.coeffs[1])
         expected = np.exp(-2.0 * (last.t - first.t))
         assert drop == pytest.approx(expected, rel=0.02)
+
+    def test_renormalizing_costs_one_extra_evaluation_per_step(self):
+        params = FlowParams(p=1, lam=2.0, n_max=4)
+        init = make_state(params, {0: 1.0, 1: 0.0025})
+        plain = integrate_normalized(init, 0.5, StepControl()).stats
+        assert plain.rhs_evals == 1 + 6 * (plain.accepted + plain.rejected)
+        pinned = integrate_normalized(init, 0.5, StepControl(), renormalize_mean=True).stats
+        assert pinned.rhs_evals == 1 + 6 * (pinned.accepted + pinned.rejected) + pinned.accepted
+        assert pinned.landing == 0 and pinned.min_trap_margin is None
 
     def test_initial_positivity_required(self):
         params = FlowParams(p=1, lam=2.0, n_max=4)

@@ -5,6 +5,7 @@ import pytest
 
 from pcsflow.errors import OversizeError, PositivityError
 from pcsflow.rhs import (
+    RhsPlan,
     h_kernel,
     linear_coefficients,
     normalized_rhs,
@@ -14,7 +15,7 @@ from pcsflow.rhs import (
     rhs_fast,
     rhs_split,
 )
-from pcsflow.spectral import FlowParams, SpectralState
+from pcsflow.spectral import FlowParams, SpectralState, synthesize
 
 from conftest import make_state, random_trapped_state, rel_diff
 
@@ -227,3 +228,32 @@ class TestNormalizedRhs:
         with pytest.raises(PositivityError):
             normalized_rhs(s)
         normalized_rhs(s, check_positivity=False)  # polynomial eval still fine
+
+
+class TestRhsPlan:
+    def test_plan_matches_oracle(self, rng):
+        # the evaluator the integrator calls, on bare arrays, within the
+        # criterion-2 bound of the tuple oracle; re-evaluating the first state
+        # after the others shows the reused buffer carries nothing over
+        for p in (1, 2, 3):
+            for n_max in (1, 5, 12):
+                params = FlowParams(p=p, lam=2.0, n_max=n_max)
+                plan = RhsPlan(params)
+                states = [random_trapped_state(params, rng) for _ in range(3)]
+                first, _ = plan(np.array(states[0].coeffs))
+                for s in states:
+                    deriv, grid = plan(np.array(s.coeffs))
+                    assert rel_diff(deriv, rhs_direct(s)) < 1e-10
+                    profile = synthesize(s, pad_size(params)).values
+                    assert np.max(np.abs(grid - profile)) < 1e-12 * np.max(np.abs(profile))
+                assert np.array_equal(plan(np.array(states[0].coeffs))[0], first)
+
+    def test_normalized_plan_matches(self, rng):
+        for p in (1, 2, 3):
+            params = FlowParams(p=p, lam=2.0, n_max=8)
+            plan = RhsPlan(params, normalized=True)
+            for _ in range(3):
+                s = random_trapped_state(params, rng)
+                deriv, _ = plan(np.array(s.coeffs))
+                assert rel_diff(deriv, normalized_rhs(s)) < 1e-10
+                assert rel_diff(deriv, p * rhs_direct(s) - s.coeffs) < 1e-10
