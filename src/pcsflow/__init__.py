@@ -32,6 +32,7 @@ from .errors import (
     IntegrationError,
     OversizeError,
     PositivityError,
+    TrajectoryError,
     VersionError,
 )
 from .geometry import (

@@ -39,7 +39,7 @@ from .blowup import (
     select_c,
     trap_margin,
 )
-from .errors import AnalysisError, ConfigError, FlowError, VersionError
+from .errors import AnalysisError, ConfigError, FlowError, TrajectoryError, VersionError
 from .geometry import PerturbationSpec, polyline_csv, radial_perturbation_curvature, reconstruct_curve, render_svg
 from .normalize import fit_exponential, normalized_series, rescale_state, tau_of_t
 from .rhs import rhs_convolution, rhs_direct, rhs_fast, rhs_split
@@ -350,27 +350,38 @@ def write_trajectory(path: str, traj: Trajectory, config_echo: dict):
 
 
 def read_trajectory(path: str) -> tuple[Trajectory, dict]:
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("kind") != "header":
+    """Load a trajectory file.  A missing, unreadable, torn or malformed file
+    raises ``TrajectoryError``; a wrong format version its subtype
+    ``VersionError``."""
+    try:
+        with open(path) as fh:
+            lines = [json.loads(line) for line in fh if line.strip()]
+    except OSError as exc:
+        raise TrajectoryError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise TrajectoryError(f"{path}: torn or invalid JSON line: {exc}") from exc
+    if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "header":
         raise VersionError(f"{path}: missing header record")
     header = lines[0]
     if header.get("version") != FORMAT_VERSION:
         raise VersionError(
             f"{path}: format version {header.get('version')} != supported {FORMAT_VERSION}"
         )
-    ph = header["params"]
-    rational = tuple(ph["rational"]) if ph.get("rational") else None
-    params = FlowParams(p=ph["p"], lam=ph["lambda"], n_max=ph["n_max"], rational=rational)
-    traj = Trajectory(params=params)
-    for rec in lines[1:]:
-        if rec["kind"] == "snapshot":
-            coeffs = np.array([complex(re, im) for re, im in rec["coeffs"]])
-            traj.append(SpectralState(params, rec["t"], coeffs))
-        elif rec["kind"] == "trailer":
-            traj.events = [(t, kind, detail) for t, kind, detail in rec["events"]]
-            traj.T_est = rec.get("T_est")
-            traj.stats = RunStats(**rec["run_stats"]) if rec.get("run_stats") else None
+    try:
+        ph = header["params"]
+        rational = tuple(ph["rational"]) if ph.get("rational") else None
+        params = FlowParams(p=ph["p"], lam=ph["lambda"], n_max=ph["n_max"], rational=rational)
+        traj = Trajectory(params=params)
+        for rec in lines[1:]:
+            if rec["kind"] == "snapshot":
+                coeffs = np.array([complex(re, im) for re, im in rec["coeffs"]])
+                traj.append(SpectralState(params, rec["t"], coeffs))
+            elif rec["kind"] == "trailer":
+                traj.events = [(t, kind, detail) for t, kind, detail in rec["events"]]
+                traj.T_est = rec.get("T_est")
+                traj.stats = RunStats(**rec["run_stats"]) if rec.get("run_stats") else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TrajectoryError(f"{path}: malformed record ({type(exc).__name__}: {exc})") from exc
     return traj, header
 
 
@@ -857,8 +868,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except VersionError as exc:
-        print(f"version error: {exc}", file=sys.stderr)
+    except TrajectoryError as exc:
+        print(f"trajectory error: {exc}", file=sys.stderr)
         return EXIT_VERSION
     except FlowError as exc:
         print(f"error: {exc}", file=sys.stderr)

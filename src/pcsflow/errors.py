@@ -29,5 +29,9 @@ class ConfigError(FlowError, ValueError):
     """Run configuration is malformed or violates an invariant."""
 
 
-class VersionError(FlowError, ValueError):
+class TrajectoryError(FlowError, ValueError):
+    """Trajectory file is missing, torn, or not in the expected format."""
+
+
+class VersionError(TrajectoryError):
     """Trajectory file format version does not match this build."""

@@ -1,13 +1,32 @@
 """Adaptive time integration of the mode system up to (near) blow-up.
 
-One raw-array Dormand-Prince 5(4) core serves both flows.  Stage 7, f(y_new),
-is the next step's first (FSAL): an accepted step costs six RHS evaluations,
-and its padded-grid profile gives the positivity check and the normalized
-peak.  Besides error control, dt <= safety / (lam^2 n_max^2 c[0]^{p+1}) caps
-the stiffest diagonal rate.  Snapshots sit on a log ladder in c[0]: a step
-that overshoots a rung is redone to the root of its dense-output c[0] (Hairer,
-Norsett & Wanner, Solving ODEs I, II.6), with Newton corrections on the FSAL
-dc[0]/dt only while c[0] misses the rung by more than 1e-12 of it.
+One raw-array core serves both flows: a Lawson integrating-factor form of
+the Dormand-Prince 5(4) pair (Lawson 1967; Hairer, Norsett & Wanner, Solving
+ODEs I, II.5-II.6).  It integrates y' = L y + N(y) for a constant diagonal
+rate vector L, with stages
+
+    Y_i = exp(c_i h L) y + h sum_j a_ij exp((c_i - c_j) h L) K_j,  K_j = N(Y_j),
+
+and the order-5 update and embedded error estimate use the same factors at
+c = 1.  Each factor is one exp of a difference of nodes (never a ratio of
+exponentials, which is 0/0 once a stiff rate underflows), so the linear part
+is integrated exactly and sets no step limit; with L = 0 the core is plain DP5.
+Besides the modes, the state has one clock slot (rate 0) from which the model
+time t follows.  Stage 7, N(y_new), is the next step's first (FSAL): an
+accepted step costs six RHS evaluations, and its padded-grid profile gives the
+positivity check and the normalized peak.
+
+The blow-up flow runs on the clock ds = c[0]^{p+1} dt, on which every mode has
+the constant rate L_n = (p+2)/p - lam^2 n^2 (L_0 = 1/p) of the diagonal part of
+the mode system, so it needs no stiffness cap (``integrate`` says what its
+clock slot holds); ``max_step``, ``min_step`` and the step floor still act on
+model time.  The normalized flow and ``step`` are
+plain DP5 on their own time, the normalized flow with the cap
+dt <= safety / (p lam^2 n_max^2 max(k)^{p+1}).  Snapshots sit on a log ladder
+in c[0]: a step that overshoots a rung is redone to the root of its dense-output
+c[0] (Hairer, Norsett & Wanner, II.6, on the factored-out variable), with
+Newton corrections on the FSAL dc[0]/ds only while c[0] misses the rung by more
+than 1e-12 of it.
 """
 
 from __future__ import annotations
@@ -25,25 +44,32 @@ from .spectral import SpectralState, coeff_seminorm
 
 __all__ = ["StepControl", "RunStats", "Trajectory", "step", "integrate", "integrate_normalized"]
 
-# Dormand-Prince 5(4) tableau: row i of _A combines stages 1..i into stage i+1,
-# and the last row is the order-5 weights, so stage 7 is f(y_new).  _E is the
-# difference against the order-4 weights, _D the dense-output coefficients.
+# Dormand-Prince 5(4) tableau: nodes _C, row i of _A combines stages 1..i into
+# stage i+1, and the last row is the order-5 weights, so stage 7 is f(y_new).
+# _E is the difference against the order-4 weights, _D the dense-output
+# coefficients.
+_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1])
 _A = [
-    np.array(row, dtype=np.complex128)
-    for row in (
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 ]
 _E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 _D = np.array(
     [-12715105075 / 11282082432, 0, 87487479700 / 32700410799, -10690763975 / 1880347072]
     + [701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423]
 )
+
+# The Lawson tableau as weight rows over z = (y, K_1, ..., K_7): the row of
+# stage i+1 is (1, h a_i) times exp((c_i - (0, c_1..c_i)) h L), and the error
+# row is (0, h e) times exp((1 - (0, c)) h L); row i spans _ROWS[i - 1].
+_EXPO = np.concatenate([_C[i] - np.r_[0.0, _C[:i]] for i in range(1, 7)] + [1 - np.r_[1.0, _C]])
+_UNIT = np.concatenate([np.r_[1.0, np.zeros(i)] for i in range(1, 7)] + [np.zeros(8)])
+_COEF = np.concatenate([np.r_[0.0, row] for row in _A] + [np.r_[0.0, _E]])
+_ROWS = [slice((i - 1) * (i + 2) // 2, (i - 1) * (i + 2) // 2 + i + 1) for i in range(1, 8)]
 
 
 @dataclass(frozen=True)
@@ -75,7 +101,8 @@ class StepControl:
 class RunStats:
     """What one run did.  Step counts are the controller's, plus ``landing``
     rung-landing steps; ``cap_bound_frac`` is the share of controller steps
-    whose dt the stiffness cap set; dt spans the accepted ones;
+    whose size the stiffness cap set (always 0 for the blow-up flow, whose
+    rescaled clock has no cap); dt spans the accepted ones, in model time;
     ``min_trap_margin`` covers the start and every accepted step."""
 
     accepted: int = 0
@@ -129,115 +156,144 @@ class Trajectory:
 def step(
     state: SpectralState, dt: float, control: StepControl, rhs=rhs_fast
 ) -> tuple[SpectralState, float]:
-    """Advance one step of size dt; returns the new state and the scaled
+    """Advance one DP5 step of size dt; returns the new state and the scaled
     embedded-pair error norm used by the controller (accept when <= 1)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    trial = _Stepper(state, control, lambda y: (rhs(state.with_coeffs(y)), None)).attempt(dt)
-    return state.with_coeffs(trial.y, t=state.t + dt), trial.err
+
+    def modes(y):  # the slot is t itself, at rate 1
+        return rhs(state.with_coeffs(y[:-1])), 1.0, None
+
+    trial = _Stepper(state.params, np.append(state.coeffs, state.t), control, modes).attempt(dt)
+    return state.with_coeffs(trial.y[:-1], t=state.t + dt), trial.err
+
+
+def _own_clock(y: np.ndarray) -> tuple[float, float]:
+    """Model time t in the last slot, stepped on itself: (t, dt/ds = 1)."""
+    return float(y[-1].real), 1.0
 
 
 def _controller_factor(err_norm: float, grow: float = 5.0, shrink: float = 0.2) -> float:
     return grow if err_norm == 0.0 else min(grow, max(shrink, 0.9 * err_norm ** (-0.2)))
 
 
-# A step tried from the current point: its size, end coefficients y, the seven
-# stages (ks[6] is f(y)), the padded-grid profile of y and the scaled error norm.
-_Trial = namedtuple("_Trial", "dt y ks grid err")
+# A step tried from the current point: its size h on the core's clock, end
+# point y, the seven stages (ks[6] is N(y)), the padded-grid profile of y and
+# the scaled error norm.
+_Trial = namedtuple("_Trial", "h y ks grid err")
 
 
 class _Stepper:
-    """The raw-array core: the point (t, y), its FSAL derivative f and profile
-    grid from ``rhs(y)``, the adaptive loop and the run's ``RunStats``."""
+    """The raw-array core: the point y = (c[0..n_max], clock slot), its FSAL
+    N(y) and profile grid from ``rhs(y)`` (N on the modes, N on the slot, grid),
+    the diagonal ``rates`` L (zero: plain DP5), ``clock(y)`` giving the model
+    time t and dt/ds, the adaptive loop and the run's ``RunStats``."""
 
-    def __init__(self, state: SpectralState, control: StepControl, rhs):
-        self.params, self.control, self.rhs, self.t = state.params, control, rhs, state.t
+    def __init__(self, params, y, control: StepControl, rhs, rates=None, clock=_own_clock):
+        self.params, self.control, self.rhs, self.clock = params, control, rhs, clock
+        self.rates = np.zeros(y.size) if rates is None else rates
         self.stats = RunStats(dt_min=math.inf)
         self.cap_bound, self.start = 0, time.perf_counter()
-        self.reset(np.array(state.coeffs))
+        self.reset(y)
         gmin = 1.0 if self.grid is None else float(self.grid.min())
         if gmin <= 0.0:
             raise PositivityError(f"initial profile must be strictly positive; grid min {gmin:.3e}")
 
+    @property
+    def t(self) -> float:
+        return self.clock(self.y)[0]
+
+    def state(self) -> SpectralState:
+        return SpectralState(self.params, self.t, self.y[:-1])
+
     def reset(self, y: np.ndarray):  # move to y at the current time
-        self.y = y
-        self.f, self.grid = self.rhs(y)
+        self.y, self.f = y, np.empty_like(y)
+        self.f[:-1], self.f[-1], self.grid = self.rhs(y)
         self.stats.rhs_evals += 1
 
-    def attempt(self, dt: float) -> _Trial:
-        """One DP5(4) step of size dt from the current point, without moving."""
-        y, ks = self.y, np.empty((7, self.y.size), dtype=np.complex128)
-        ks[0] = self.f
-        for i, row in enumerate(_A, 1):
-            y_new = y + dt * (row @ ks[:i])
-            ks[i], grid = self.rhs(y_new)
+    def attempt(self, h: float) -> _Trial:
+        """One Lawson DP5(4) step of size h from the current point, without moving."""
+        y, z = self.y, np.empty((8, self.y.size), dtype=np.complex128)
+        z[0], z[1] = y, self.f
+        w = (_UNIT + h * _COEF)[:, None] * np.exp(np.multiply.outer(h * _EXPO, self.rates))
+        for i, rows in enumerate(_ROWS[:6], 2):
+            y_new = np.einsum("jn,jn->n", w[rows], z[:i])
+            z[i, :-1], z[i, -1], grid = self.rhs(y_new)
         self.stats.rhs_evals += 6
-        err = dt * (_E @ ks)
+        err = np.einsum("jn,jn->n", w[_ROWS[6]], z)
         if not np.all(np.isfinite(err)):
             raise IntegrationError(
                 f"non-finite derivative at t={self.t:.6g} (|y|max={np.max(np.abs(y_new)):.3e})"
             )
         scale = self.control.abs_tol + self.control.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        return _Trial(dt, y_new, ks, grid, float(np.sqrt(np.mean(np.abs(err / scale) ** 2))))
+        return _Trial(h, y_new, z[1:], grid, float(np.sqrt(np.mean(np.abs(err / scale) ** 2))))
 
     def accept(self, trial: _Trial):
-        self.t += trial.dt
         self.y, self.f, self.grid = trial.y, trial.ks[6], trial.grid
 
     def land(self, trial: _Trial, level: float) -> _Trial:
         """The step onto c[0] == level, which ``trial`` overshoots: Newton on
-        trial's dense-output quartic for c[0], then on the real step."""
-        h, k, y0 = trial.dt, trial.ks[:, 0].real, self.y[0].real
-        ydiff = trial.y[0].real - y0
-        bspl = h * k[0] - ydiff
-        r4, r5 = ydiff - h * k[6] - bspl, h * float(_D @ k)
-        c1, c2, c3, c4 = ydiff + bspl, r4 + r5 - bspl, -r4 - 2 * r5, r5
-        theta = (level - y0) / ydiff
+        trial's dense output for c[0], then on the real step."""
+        h, rate, y0, y1 = trial.h, self.rates[0], self.y[0].real, trial.y[0].real
+        # DP5's dense-output quartic for v(theta) = exp(-theta h L_0) c[0],
+        # whose stage slopes are exp(-c_i h L_0) K_i
+        k = np.exp(-h * rate * _C) * trial.ks[:, 0].real
+        vdiff = math.exp(-h * rate) * y1 - y0
+        bspl = h * k[0] - vdiff
+        r4, r5 = vdiff - h * k[6] - bspl, h * float(_D @ k)
+        c1, c2, c3, c4 = vdiff + bspl, r4 + r5 - bspl, -r4 - 2 * r5, r5
+        theta = (level - y0) / (y1 - y0)
         for _ in range(6):
-            value = y0 - level + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
-            theta -= value / (c1 + theta * (2 * c2 + theta * (3 * c3 + theta * 4 * c4)))
-        dt, best = h * min(max(theta, 0.0), 1.0), None
+            v = y0 + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
+            dv = c1 + theta * (2 * c2 + theta * (3 * c3 + theta * 4 * c4))
+            grow = math.exp(theta * h * rate)
+            theta -= (grow * v - level) / (grow * (dv + h * rate * v))
+        h, best = h * min(max(theta, 0.0), 1.0), None
         for _ in range(4):
-            cand = self.attempt(dt)
+            cand = self.attempt(h)
             self.stats.landing += 1
             gap = level - cand.y[0].real
             if best is None or abs(gap) < abs(level - best.y[0].real):
                 best = cand
             if abs(gap) <= 1e-12 * level:
                 break
-            dt += gap / cand.ks[6, 0].real
+            h += gap / (rate * cand.y[0].real + cand.ks[6, 0].real)
         return best
 
-    def run(self, traj, dt: float, max_steps: int, done, cap, settle, clip=lambda dt: dt):
+    def run(self, traj, h, max_steps, done, settle, cap=lambda: math.inf, clip=lambda h: h):
         """The adaptive loop both flows share; True when ``done()`` ended it.
-        ``cap()`` is the stiffness cap here, ``clip(dt)`` may shorten a step
-        onto a clock mark, and ``settle(trial)`` moves onto an accepted trial
-        and says whether to record the new point.  Fills ``traj.stats``."""
+        Steps h are on the core's clock s; ``max_step`` and the step floor act
+        on the model-time step dt = h dt/ds.  ``cap()`` is a stiffness cap on h,
+        ``clip(h)`` may shorten a step onto a clock mark, and ``settle(trial)``
+        moves onto an accepted trial and says whether to record the new point.
+        Fills ``traj.stats``."""
         control, stats, finished = self.control, self.stats, False
         for _ in range(max_steps):
             if finished := done():
                 break
-            limit = cap()
-            dt = clip(min(dt, limit, control.max_step))
-            if self.t + dt == self.t or dt < control.min_step:
-                traj.add_event(self.t, "step_floor", f"dt={dt:.3e}")
+            (t, speed), limit = self.clock(self.y), cap()
+            h = clip(min(h, limit, control.max_step / speed))
+            dt = h * speed
+            if t + dt == t or dt < control.min_step:
+                traj.add_event(t, "step_floor", f"dt={dt:.3e}")
                 break
-            trial = self.attempt(dt)
-            self.cap_bound += dt == limit
+            trial = self.attempt(h)
+            self.cap_bound += h == limit
             if trial.err > 1.0:
                 stats.rejected += 1
-                dt *= _controller_factor(trial.err)
+                h *= _controller_factor(trial.err)
                 continue
             stats.accepted += 1
+            dt = self.clock(trial.y)[0] - t
             stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
             record = settle(trial)
             gmin = float(self.grid.min())
             if record or gmin <= 0.0:
-                traj.append(SpectralState(self.params, self.t, self.y))
+                traj.append(self.state())
             if gmin <= 0.0:
                 traj.add_event(self.t, "positivity_loss", f"grid min={gmin:.3e}")
                 break
-            dt *= _controller_factor(trial.err)
+            h *= _controller_factor(trial.err)
         else:
             traj.add_event(self.t, "step_floor", "max_steps exhausted")
         stats.cap_bound_frac = self.cap_bound / max(stats.accepted + stats.rejected, 1)
@@ -255,32 +311,51 @@ def integrate(
 ) -> Trajectory:
     """Integrate the mode system until c[0] >= k0_stop or a failure event.
 
+    The core runs on the clock ds = c[0]^{p+1} dt, where the diagonal part of
+    the mode system has the constant rates L_n = (p+2)/p - lam^2 n^2 (L_0 =
+    1/p), integrated exactly, and N(c) = rhs(c)/c[0]^{p+1} - L c.  The clock
+    slot holds the running blow-up time z = t + p/(p+1) c[0]^{-(p+1)}, with
+    dz/ds = -p c[0]^{-(p+2)} N_0: it is constant on the circle, so the step
+    adds no quadrature error of dt/ds ~ exp(-(p+1) s/p) to T - t, which the
+    normalized-frame analysis needs to far below rel_tol.
     Snapshots land on each rung of the log ladder in c[0] (snapshots_per_decade
-    per decade), and follow 500 accepted steps without one.  With ``trap_c``
-    the trapping margin is checked at the start and at every accepted step; a
-    trap_violation event marks each turn negative (the run continues).
+    per decade).  With ``trap_c`` the trapping margin is checked at the start
+    and at every accepted step; a trap_violation event marks each turn negative
+    (the run continues).
     """
     control = control or StepControl()
     p, lam, n_max = init.params.p, init.params.lam, init.params.n_max
-    core = _Stepper(init, control, RhsPlan(init.params))
+    plan, n = RhsPlan(init.params), np.arange(1, n_max + 1)
+    rates = np.r_[1 / p, (p + 2) / p - lam**2 * n**2, 0.0]
+
+    def rhs(y: np.ndarray):
+        c = y[:-1]
+        deriv, grid = plan(c)
+        speed = c[0].real ** -(p + 1)
+        nonlinear = deriv * speed - rates[:-1] * c
+        return nonlinear, -p * speed / c[0].real * nonlinear[0], grid
+
+    def clock(y: np.ndarray) -> tuple[float, float]:
+        speed = y[0].real ** -(p + 1)
+        return float(y[-1].real) - p / (p + 1) * speed, speed
+
+    z0 = init.t + p / (p + 1) * init.mean ** -(p + 1)
+    core = _Stepper(init.params, np.append(init.coeffs, z0), control, rhs, rates, clock)
     traj = Trajectory(params=init.params)
     traj.append(init)
     ratio = 10.0 ** (1.0 / control.snapshots_per_decade)
-    next_level, since_snapshot, negative = init.mean * ratio, 0, False
+    next_level, negative = init.mean * ratio, False
 
     def watch_trap():
         nonlocal negative
-        margin = float(core.y[0].real) - trap_c * coeff_seminorm(core.y, 2.0)
+        margin = float(core.y[0].real) - trap_c * coeff_seminorm(core.y[:-1], 2.0)
         core.stats.min_trap_margin = min(core.stats.min_trap_margin, margin)
         if margin < 0.0 and not negative:
             traj.add_event(core.t, "trap_violation", f"margin={margin:.6e}")
         negative = margin < 0.0
 
-    def cap() -> float:
-        return control.safety / (lam**2 * n_max**2 * max(float(core.y[0].real), 1e-300) ** (p + 1))
-
     def settle(trial: _Trial) -> bool:
-        nonlocal next_level, since_snapshot
+        nonlocal next_level
         # land on snapshot rungs (only while the mean is growing)
         crossing = trial.y[0].real >= next_level > core.y[0].real
         core.accept(core.land(trial, next_level) if crossing else trial)
@@ -290,17 +365,24 @@ def integrate(
             next_level *= ratio
         if trap_c is not None:
             watch_trap()
-        since_snapshot = 0 if crossing or since_snapshot == 499 else since_snapshot + 1
-        return since_snapshot == 0
+        return crossing
+
+    def clip(h: float) -> float:
+        # at the linear rate 1/p of c[0], end short of the second rung ahead:
+        # landing redoes a longer step anyway, and once c[0] is integrated
+        # exactly nothing else would stop h growing until exp(h L) overflows
+        return min(h, p * math.log(next_level * ratio / core.y[0].real))
 
     if trap_c is not None:
         core.stats.min_trap_margin = math.inf
         watch_trap()
-    dt = min(control.max_step, cap(), 0.01 * p * init.mean ** -(p + 1))
-    if core.run(traj, dt, max_steps, lambda: core.y[0].real >= control.k0_stop, cap, settle):
+    reached = core.run(
+        traj, 0.01 * p, max_steps, lambda: core.y[0].real >= control.k0_stop, settle, clip=clip
+    )
+    if reached:
         traj.add_event(core.t, "blow_up_stop", f"k0={core.y[0].real:.6e}")
     if core.t > traj.snapshots[-1].t:
-        traj.append(SpectralState(core.params, core.t, core.y))
+        traj.append(core.state())
     return traj
 
 
@@ -327,7 +409,13 @@ def integrate_normalized(
     control = control or StepControl()
     p, lam, n_max = init.params.p, init.params.lam, init.params.n_max
     state = init.with_coeffs(np.r_[1.0, init.coeffs[1:]]) if renormalize_mean else init
-    core = _Stepper(state, control, RhsPlan(init.params, normalized=True))
+    plan = RhsPlan(init.params, normalized=True)
+
+    def rhs(y: np.ndarray):
+        deriv, grid = plan(y[:-1])
+        return deriv, 1.0, grid
+
+    core = _Stepper(state.params, np.append(state.coeffs, state.t), control, rhs)
     traj = Trajectory(params=init.params)
     traj.append(state)
 
@@ -345,10 +433,10 @@ def integrate_normalized(
         peak = max(float(core.grid.max()), 1.0)
         return control.safety / (p * lam**2 * n_max**2 * peak ** (p + 1))
 
-    def clip(dt: float) -> float:
+    def clip(h: float) -> float:
         nonlocal on_mark
-        on_mark = bool(marks) and core.t + dt >= marks[0] - 1e-12
-        return marks[0] - core.t if on_mark else dt
+        on_mark = bool(marks) and core.t + h >= marks[0] - 1e-12
+        return marks[0] - core.t if on_mark else h
 
     def settle(trial: _Trial) -> bool:
         core.accept(trial)
@@ -359,6 +447,7 @@ def integrate_normalized(
             marks.pop(0)
         return on_mark
 
-    dt = min(control.max_step, cap())
-    core.run(traj, dt, max_steps, lambda: core.t >= tau_horizon - 1e-12, cap, settle, clip)
+    core.run(
+        traj, control.max_step, max_steps, lambda: core.t >= tau_horizon - 1e-12, settle, cap, clip
+    )
     return traj

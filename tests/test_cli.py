@@ -212,6 +212,23 @@ class TestAnalyze:
         bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         assert cli.main(["analyze", "--traj", str(bad), "--what", "trap"]) == cli.EXIT_VERSION
 
+    def assert_unreadable(self, capsys, path, message):
+        code = cli.main(["analyze", "--traj", str(path), "--what", "trap"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VERSION
+        assert err.startswith("trajectory error:") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
+    def test_missing_trajectory_exit_4(self, tmp_path, capsys):
+        self.assert_unreadable(capsys, tmp_path / "missing.jsonl", "No such file")
+
+    def test_torn_trajectory_exit_4(self, pert_run, tmp_path, capsys):
+        with open(pert_run) as fh:
+            text = fh.read()
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text(text[: len(text) // 2])  # cut inside a snapshot record
+        self.assert_unreadable(capsys, torn, "torn or invalid JSON")
+
 
 class TestTrajectoryIO:
     def test_self_describing_round_trip(self, tmp_path):

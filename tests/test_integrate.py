@@ -154,6 +154,17 @@ class TestIntegratePerturbed:
         assert 0.0 < stats.dt_min <= stats.dt_max and 0.0 <= stats.cap_bound_frac <= 1.0
         assert stats.wall_s > 0.0
 
+    def test_step_count_does_not_grow_with_band_width(self, run):
+        # the diagonal rates lam^2 n^2 are integrated exactly, so no step
+        # limit grows as n_max^2; the top modes' factors exp(h L) come near
+        # the underflow limit, where a ratio of two factors would be 0/0
+        params = FlowParams(p=1, lam=2.0, n_max=64)
+        wide = integrate(make_state(params, {0: 1.0, 1: 0.0025}), StepControl(k0_stop=1e4), 256.0)
+        for traj in (run, wide):
+            assert traj.has_event("blow_up_stop")
+            assert all(np.all(np.isfinite(s.coeffs)) for s in traj.snapshots)
+        assert wide.stats.accepted <= 1.5 * run.stats.accepted
+
     def test_trap_violation_event_for_bad_data(self):
         params = FlowParams(p=1, lam=2.0, n_max=8)
         init = make_state(params, {0: 1.0, 1: 0.005})  # margin 1 - 256*0.005 < 0
@@ -161,6 +172,29 @@ class TestIntegratePerturbed:
         assert traj.has_event("trap_violation")
         assert traj.events[0][1] == "trap_violation"
         assert traj.events[0][0] == 0.0
+
+
+class TestLawsonAgainstDP5:
+    # A rung's t is stored to an ulp of T, and c0 ~ (T - t)^{-1/(p+1)}, so a
+    # comparison at equal t resolves c0 only to ulp(T) / ((p+1)(T - t)): the
+    # runs stop before that floor passes 1e-10 (it is 4e-9 at k0=1e4 for p=1).
+    @pytest.mark.parametrize("p,k0_stop", [(1, 1e3), (2, 1e2)])
+    def test_rungs_match_plain_dp5_under_the_old_cap(self, p, k0_stop):
+        # advance every 10th rung snapshot with plain DP5 steps below the
+        # stiffness cap safety / (lam^2 n_max^2 c0^{p+1}) to the next one's t
+        params = FlowParams(p=p, lam=2.0, n_max=8)
+        control = StepControl(k0_stop=k0_stop)
+        traj = integrate(make_state(params, {0: 1.0, 1: 0.0025}), control)
+        assert traj.has_event("blow_up_stop")
+        pairs = list(zip(traj.snapshots[:-1], traj.snapshots[1:]))[::10]
+        assert len(pairs) >= 8
+        for start, end in pairs:
+            cap = control.safety / (4.0 * 64 * start.mean ** (p + 1))
+            substeps = int(np.ceil((end.t - start.t) / cap)) + 1
+            state = start
+            for _ in range(substeps):
+                state, _ = step(state, (end.t - start.t) / substeps, control)
+            assert np.max(np.abs(state.coeffs - end.coeffs)) / end.mean <= 1e-9
 
 
 class TestPositivity:
