@@ -10,9 +10,10 @@ render     reconstruct curve frames from a trajectory (SVG + CSV tables)
 verify     built-in cross-check suite; exit 0 iff everything passes
 bench      timing table for the direct vs fast mode-derivative paths
 
-Exit codes: 0 clean, 1 config/schema error, 2 positivity loss,
-3 trap violation, 4 trajectory version mismatch, 5 rational lam required,
-6 run ended without a terminal event.
+Exit codes: 0 clean, 1 config/schema error or an analysis the trajectory
+cannot support (AnalysisError), 2 positivity loss, 3 trap violation,
+4 trajectory unreadable: missing, torn, or wrong format version,
+5 rational lam required, 6 run ended without a terminal event.
 """
 
 from __future__ import annotations
@@ -410,6 +411,11 @@ def cmd_simulate(args) -> int:
     c = config.analysis.c_override
     if c is None:
         c = select_c(config.params)
+    out_dir = args.out or config.output.directory
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     traj = integrate(init, config.control, trap_c=c)
     try:
         T_est, _ = estimate_T(traj)
@@ -417,8 +423,6 @@ def cmd_simulate(args) -> int:
     except AnalysisError:
         traj.T_est = None
 
-    out_dir = args.out or config.output.directory
-    os.makedirs(out_dir, exist_ok=True)
     write_trajectory(os.path.join(out_dir, "trajectory.jsonl"), traj, emit_config(config))
     with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
         fh.write(metrics_csv(traj, c))
@@ -560,6 +564,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.frames < 1:
+        raise ConfigError(f"--frames must be at least 1, got {args.frames}")
     traj, header = read_trajectory(args.traj)
     params = traj.params
     if params.rational is None:

@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.interpolate import PchipInterpolator
 
-from .spectral import FlowParams, GridField, SpectralState, analyze_grid
+from .spectral import FlowParams, GridField, SpectralState, analyze_grid, next_fast_len
 
 __all__ = [
     "PerturbationSpec",
@@ -146,8 +144,12 @@ def radial_perturbation_curvature(
             f"delta={spec.delta} too large: curvature {np.min(kappa):.3e} <= 0 near theta={bad:.4f}"
         )
     nu = th - np.arctan(rp / r)
+    # Imported here: scipy costs every command about 0.5 s at start-up, and
+    # only perturbed-circle initial data needs it.
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(nu, kappa)
-    m_grid = next_fast_len(max(8 * (2 * params.n_max + 1), 128), real=True)
+    m_grid = next_fast_len(max(8 * (2 * params.n_max + 1), 128))
     nu_grid = np.arange(m_grid) * (period / m_grid)
     field = GridField(params, interp(nu_grid))
     return analyze_grid(field)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import OversizeError, PositivityError
 from .spectral import SpectralState

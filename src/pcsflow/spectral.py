@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import GridTooSmallError
 
@@ -27,6 +27,7 @@ __all__ = [
     "GridField",
     "lambda_threshold",
     "default_grid_size",
+    "next_fast_len",
     "synthesize",
     "analyze_grid",
     "seminorm",
@@ -160,9 +161,25 @@ class GridField:
         return np.arange(m) * (self.params.period / m)
 
 
+def next_fast_len(target: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) >= target: a length pocketfft
+    transforms fastest, as ``scipy.fft.next_fast_len(target, real=True)``."""
+    if target < 1:
+        raise ValueError(f"target length must be positive, got {target!r}")
+    n = int(target)
+    while True:
+        rest = n
+        for f in (2, 3, 5):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return n
+        n += 1
+
+
 def default_grid_size(params: FlowParams, factor: int = 4) -> int:
     """Default sampling size: factor*n_max rounded up to an FFT-friendly length."""
-    return next_fast_len(max(factor * params.n_max, 2 * params.n_max + 1), real=True)
+    return next_fast_len(max(factor * params.n_max, 2 * params.n_max + 1))
 
 
 def synthesize(state: SpectralState, grid_points: int | None = None) -> GridField:

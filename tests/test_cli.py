@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +152,21 @@ class TestSimulate:
         assert float(first[3]) < 0  # margin negative at t=0
         assert code == cli.EXIT_TRAP
 
+    def test_uncreatable_out_dir_exits_1_before_integrating(self, tmp_path, capsys, monkeypatch):
+        def integrate_not_called(*args, **kwargs):
+            raise AssertionError("integrate ran although --out cannot be created")
+
+        monkeypatch.setattr(cli, "integrate", integrate_not_called)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(
+            ["simulate", "--config", write_config(tmp_path, CONST_CONFIG), "--out", str(blocker / "out")]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_positivity_loss_exit_code(self, tmp_path):
         doc = json.loads(json.dumps(CONST_CONFIG))
         doc["params"] = {"p": 1, "lambda": 2.0, "n_max": 8}
@@ -287,6 +304,16 @@ class TestRender:
             svg2 = fh.read()
         assert svg1 == svg2
 
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_frames_below_one_exit_1(self, pert_run, tmp_path, capsys, frames):
+        out = tmp_path / "frames"
+        code = cli.main(["render", "--traj", pert_run, "--frames", frames, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: --frames must be at least 1") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_non_rational_lambda_exit_5(self, tmp_path, capsys):
         code, traj_path = run_simulation(tmp_path, CONST_CONFIG)  # lam=2.0 untagged
         assert code == 0
@@ -340,3 +367,18 @@ class TestBench:
         assert all("fast_ns" in r and "convolution_ns" in r and "direct_ns" in r for r in rows)
         exp = cli.scaling_exponent(rows, "convolution_ns", 1, n_range=(4, 8))
         assert exp is None  # needs >= 3 points
+
+
+def test_import_leaves_scipy_unloaded():
+    """The package and every subcommand start without scipy; only building a
+    perturbed-circle initial state imports it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = (
+        "import sys, pcsflow, pcsflow.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.strip() == "[]"

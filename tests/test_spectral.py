@@ -12,6 +12,7 @@ from pcsflow.spectral import (
     cl_deviation_bound,
     grid_derivative_sup,
     lambda_threshold,
+    next_fast_len,
     parse_lambda,
     seminorm,
     synthesize,
@@ -96,6 +97,13 @@ class TestSynthesize:
                 back = analyze_grid(synthesize(s, m))
                 err = np.max(np.abs(back.coeffs - s.coeffs))
                 assert err <= 1e-12 * (1.0 + np.max(np.abs(s.coeffs)))
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len as reference
+
+    mismatched = [t for t in range(1, 4097) if next_fast_len(t) != reference(t, real=True)]
+    assert mismatched == []
 
 
 class TestAnalyzeGrid:
