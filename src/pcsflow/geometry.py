@@ -240,8 +240,8 @@ def render_svg(
         stride = max(1, int(math.ceil(len(pts) / max_path_points)))
         pts = pts[::stride]
         opacity = 1.0 if n_frames == 1 else 0.25 + 0.75 * i / (n_frames - 1)
-        d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts) + " Z"
-        lines.append(f'<path stroke-opacity="{opacity:.4f}" d="{d}"/>')
+        d = " L ".join(["%.6f %.6f"] * len(pts)) % tuple(pts.ravel().tolist())
+        lines.append(f'<path stroke-opacity="{opacity:.4f}" d="M {d} Z"/>')
     lines.append("</g>")
     font = 0.04 * span
     for i, (label, _) in enumerate(frames):
@@ -256,11 +256,9 @@ def render_svg(
 
 
 def polyline_csv(poly: CurvePolyline) -> str:
-    """Point table with header nu,x,y; one row per sample incl. the closure repeat."""
+    """Point table with header nu,x,y; one row per sample incl. the closure
+    repeat, the whole table written by one %.12g format over the flat rows."""
     total = len(poly.points) - 1
     nus = np.linspace(0.0, 2.0 * math.pi * poly.winding, total + 1)
-    rows = ["nu,x,y"]
-    rows.extend(
-        f"{nu:.12g},{x:.12g},{y:.12g}" for nu, (x, y) in zip(nus, poly.points)
-    )
-    return "\n".join(rows) + "\n"
+    table = np.column_stack([nus, poly.points])
+    return "nu,x,y\n" + ("%.12g,%.12g,%.12g\n" * len(table)) % tuple(table.ravel().tolist())

@@ -216,17 +216,16 @@ def analyze_grid(field: GridField) -> SpectralState:
 
 def seminorm(state: SpectralState, beta: float) -> float:
     """max over nonzero band modes of n^beta * max(|Re c[n]|, |Im c[n]|)."""
-    return coeff_seminorm(state.coeffs, beta)
+    return float(coeff_seminorm(state.coeffs, beta))
 
 
-def coeff_seminorm(coeffs: np.ndarray, beta: float) -> float:
-    """``seminorm`` of a bare half-spectrum array c[0..n_max]."""
-    c = coeffs[1:]
-    if c.size == 0:
-        return 0.0
-    n = np.arange(1, c.size + 1, dtype=np.float64)
+def coeff_seminorm(coeffs: np.ndarray, beta: float) -> np.ndarray:
+    """``seminorm`` of bare half spectra c[..., 0..n_max], reduced over the
+    last axis: a scalar for one spectrum, one value per row of a stack."""
+    c = coeffs[..., 1:]
+    n = np.arange(1, c.shape[-1] + 1, dtype=np.float64)
     weighted = n**beta * np.maximum(np.abs(c.real), np.abs(c.imag))
-    return float(np.max(weighted))
+    return np.max(weighted, axis=-1, initial=0.0)
 
 
 def cl_deviation_bound(state: SpectralState, l: int) -> float:

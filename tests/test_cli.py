@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,11 +7,14 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pcsflow import cli
+from pcsflow.blowup import trap_margin
 from pcsflow.errors import ConfigError, VersionError
-from pcsflow.spectral import FlowParams
-from pcsflow.stepping import StepControl, integrate
+from pcsflow.spectral import FlowParams, SpectralState, seminorm, synthesize
+from pcsflow.stepping import RunStats, StepControl, Trajectory, integrate
 
 from conftest import make_state
 
@@ -177,6 +181,53 @@ class TestSimulate:
         assert code == cli.EXIT_POSITIVITY
 
 
+def reference_metrics_csv(traj, c):
+    """The per-snapshot writer that ``metrics_csv`` replaced: the byte reference."""
+    p = traj.params.p
+    rows = ["t,k0,T_est_running,trap_margin,seminorm2,sup_dev"]
+    for s in traj.snapshots:
+        k0 = s.mean
+        t_running = s.t + (p / (p + 1)) * k0 ** -(p + 1) if k0 > 0 else float("nan")
+        s2 = seminorm(s, 2.0)
+        margin = trap_margin(s, c)
+        sup_dev = float(np.max(np.abs(synthesize(s).values - k0)))
+        rows.append(f"{s.t:.17g},{k0:.17g},{t_running:.17g},{margin:.17g},{s2:.17g},{sup_dev:.17g}")
+    return "\n".join(rows) + "\n"
+
+
+class TestMetricsCsv:
+    def test_perturbed_circle_matches_reference(self, pert_run):
+        traj, _ = cli.read_trajectory(pert_run)
+        c = cli.select_c(traj.params)
+        assert len(traj.snapshots) > 100
+        assert cli.metrics_csv(traj, c) == reference_metrics_csv(traj, c)
+
+    def test_nonpositive_mean_reads_nan(self, rng):
+        # t stays below 1e-297, so T_est_running is p/(p+1) k0^-(p+1) with
+        # every last bit of the power showing; rows 1 and 2 have k0 <= 0
+        params = FlowParams(p=2, lam=2.0, n_max=5)
+        traj = Trajectory(params=params)
+        means = rng.uniform(0.5, 2.0, size=64)
+        means[1:3] = (0.0, -0.7)
+        for i, mean in enumerate(means):
+            coeffs = rng.normal(size=6) * 0.01 + 1j * rng.normal(size=6) * 0.01
+            coeffs[0] = mean
+            traj.append(SpectralState(params, 1e-300 * i, coeffs))
+        text = cli.metrics_csv(traj, 4.0)
+        assert text == reference_metrics_csv(traj, 4.0)
+        running = [row.split(",")[2] for row in text.splitlines()[1:]]
+        assert running[1] == running[2] == "nan"
+        assert "nan" not in running[:1] + running[3:]
+
+
+def assert_out_dir_error(code, captured):
+    """Exit 1 with one stderr line naming the directory, no traceback, no stdout."""
+    assert code == cli.EXIT_CONFIG
+    err = captured.err
+    assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
+    assert "Traceback" not in err and captured.out == ""
+
+
 @pytest.fixture(scope="module")
 def pert_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("pert")
@@ -219,6 +270,12 @@ class TestAnalyze:
         assert cli.main(["analyze", "--traj", pert_run, "--what", "trap", "--out", out]) == 0
         capsys.readouterr()
         assert os.path.exists(os.path.join(out, "report_trap.json"))
+
+    def test_uncreatable_out_dir_exits_1(self, pert_run, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["analyze", "--traj", pert_run, "--what", "trap", "--out", str(blocker / "out")])
+        assert_out_dir_error(code, capsys.readouterr())
 
     def test_version_mismatch_exit_4(self, pert_run, tmp_path):
         with open(pert_run) as fh:
@@ -273,6 +330,59 @@ class TestTrajectoryIO:
         back, _ = cli.read_trajectory(str(path))
         assert back.stats == traj.stats
 
+    @settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_round_trip_property(self, tmp_path_factory, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
+        p = data.draw(st.sampled_from((1, 2, 3)))
+        n_max = data.draw(st.integers(1, 12))
+        if data.draw(st.booleans()):
+            n, m = data.draw(
+                st.tuples(st.integers(1, 40), st.integers(1, 7)).filter(
+                    lambda nm: math.gcd(*nm) == 1 and nm[0] / nm[1] > math.sqrt((p + 2) / p)
+                )
+            )
+            params = FlowParams(p=p, lam=n / m, n_max=n_max, rational=(n, m))
+        else:
+            lam = data.draw(st.floats(math.sqrt((p + 2) / p) + 1e-6, 50.0))
+            params = FlowParams(p=p, lam=lam, n_max=n_max)
+        traj = Trajectory(params=params)
+        times = sorted(data.draw(st.lists(finite, min_size=1, max_size=5, unique=True)))
+        for t in times:
+            re = data.draw(st.lists(finite, min_size=n_max + 1, max_size=n_max + 1))
+            im = data.draw(st.lists(finite, min_size=n_max, max_size=n_max))
+            traj.append(SpectralState(params, t, np.array(re) + 1j * np.array([0.0] + im)))
+        traj.events = data.draw(st.lists(st.tuples(finite, st.text(), st.text()), max_size=3))
+        traj.T_est = data.draw(st.none() | finite)
+        count = st.integers(0, 10**9)
+        traj.stats = data.draw(
+            st.none()
+            | st.builds(
+                RunStats,
+                accepted=count,
+                rejected=count,
+                landing=count,
+                rhs_evals=count,
+                cap_bound_frac=finite,
+                dt_min=finite,
+                dt_max=finite,
+                min_trap_margin=st.none() | finite,
+                wall_s=finite,
+            )
+        )
+        echo = {"seed": data.draw(st.integers(0, 2**31))}
+        path = str(tmp_path_factory.getbasetemp() / "round_trip.jsonl")
+        cli.write_trajectory(path, traj, echo)
+        back, header = cli.read_trajectory(path)
+        assert header["config"] == echo
+        assert back.params == traj.params
+        assert [s.t for s in back.snapshots] == [s.t for s in traj.snapshots]
+        for a, b in zip(back.snapshots, traj.snapshots):
+            assert a.coeffs.tolist() == b.coeffs.tolist()
+        assert back.events == traj.events
+        assert back.T_est == traj.T_est
+        assert back.stats == traj.stats
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text('{"kind": "snapshot"}\n')
@@ -313,6 +423,16 @@ class TestRender:
         assert err.startswith("config error: --frames must be at least 1") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_uncreatable_out_dir_exits_1_before_reconstructing(self, pert_run, tmp_path, capsys, monkeypatch):
+        def reconstruct_not_called(*args, **kwargs):
+            raise AssertionError("reconstruct_curve ran although --out cannot be created")
+
+        monkeypatch.setattr(cli, "reconstruct_curve", reconstruct_not_called)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["render", "--traj", pert_run, "--frames", "2", "--out", str(blocker / "out")])
+        assert_out_dir_error(code, capsys.readouterr())
 
     def test_non_rational_lambda_exit_5(self, tmp_path, capsys):
         code, traj_path = run_simulation(tmp_path, CONST_CONFIG)  # lam=2.0 untagged
@@ -368,6 +488,16 @@ class TestBench:
         exp = cli.scaling_exponent(rows, "convolution_ns", 1, n_range=(4, 8))
         assert exp is None  # needs >= 3 points
 
+    def test_uncreatable_out_dir_exits_1_before_timing(self, tmp_path, capsys, monkeypatch):
+        def bench_not_run(*args, **kwargs):
+            raise AssertionError("bench_table ran although --out cannot be created")
+
+        monkeypatch.setattr(cli, "bench_table", bench_not_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["bench", "--out", str(blocker / "out")])
+        assert_out_dir_error(code, capsys.readouterr())
+
 
 def test_import_leaves_scipy_unloaded():
     """The package and every subcommand start without scipy; only building a
@@ -382,3 +512,14 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_module_entry_point_runs_cli():
+    """``python -m pcsflow`` runs the command line from a checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "pcsflow", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: pcsflow")

@@ -207,3 +207,88 @@ class TestRender:
         poly = reconstruct_curve(mfold_curvature(1, params), 1)
         assert render_svg([("a", poly)]) == render_svg([("a", poly)])
         assert polyline_csv(poly) == polyline_csv(poly)
+
+
+def reference_render_svg(frames, size=640, max_path_points=512):
+    """The per-point f-string writer that ``render_svg`` replaced: the byte reference."""
+
+    def fmt(x):
+        return f"{x:.6f}"
+
+    all_pts = np.vstack([poly.points for _, poly in frames])
+    lo = all_pts.min(axis=0)
+    hi = all_pts.max(axis=0)
+    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-12))
+    pad = 0.05 * span
+    view = (lo[0] - pad, lo[1] - pad, span + 2 * pad, span + 2 * pad)
+    stroke = 0.004 * span
+    flip = fmt(-(2 * view[1] + view[3]))
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="{fmt(view[0])} {fmt(view[1])} {fmt(view[2])} {fmt(view[3])}">',
+        f'<g fill="none" stroke="#1f4e79" stroke-width="{fmt(stroke)}" '
+        f'transform="scale(1,-1) translate(0,{flip})">',
+    ]
+    n_frames = len(frames)
+    for i, (_, poly) in enumerate(frames):
+        pts = poly.points[:-1]
+        stride = max(1, int(math.ceil(len(pts) / max_path_points)))
+        pts = pts[::stride]
+        opacity = 1.0 if n_frames == 1 else 0.25 + 0.75 * i / (n_frames - 1)
+        d = "M " + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in pts) + " Z"
+        lines.append(f'<path stroke-opacity="{opacity:.4f}" d="{d}"/>')
+    lines.append("</g>")
+    font = 0.04 * span
+    for i, (label, _) in enumerate(frames):
+        x = view[0] + 0.02 * span
+        y = view[1] + (0.05 + 0.05 * i) * span
+        lines.append(
+            f'<text x="{fmt(x)}" y="{fmt(y)}" font-size="{fmt(font)}" '
+            f'fill="#333333" font-family="monospace">{label}</text>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def reference_polyline_csv(poly):
+    """The per-row f-string writer that ``polyline_csv`` replaced: the byte reference."""
+    total = len(poly.points) - 1
+    nus = np.linspace(0.0, 2.0 * math.pi * poly.winding, total + 1)
+    rows = ["nu,x,y"]
+    rows.extend(f"{nu:.12g},{x:.12g},{y:.12g}" for nu, (x, y) in zip(nus, poly.points))
+    return "\n".join(rows) + "\n"
+
+
+class TestWriterBytes:
+    """The table-at-once writers produce the per-row writers' bytes."""
+
+    def test_reconstructed_curves(self):
+        spec = PerturbationSpec(m=2, n=7, delta=0.01, harmonics=((1, 1.0, 0.3), (2, 0.2, 1.1)))
+        state = radial_perturbation_curvature(spec, P72)
+        frames = [
+            (f"t={i}", reconstruct_curve(state.scaled(1.0 + i), samples_per_turn=per_turn))
+            for i, per_turn in enumerate((1024, 100, 64))
+        ]
+        for _, poly in frames:
+            assert polyline_csv(poly) == reference_polyline_csv(poly)
+        assert render_svg(frames) == reference_render_svg(frames)
+        assert render_svg(frames[:1], max_path_points=37) == reference_render_svg(
+            frames[:1], max_path_points=37
+        )
+
+    def test_edge_values(self):
+        # -0.0, 1e-300 and values that round to -0.000000 under %.6f, next
+        # to 1e17 (more digits than %.12g keeps) and ordinary values
+        rng = np.random.default_rng(5)
+        specials = [-0.0, 0.0, 1e-300, -1e-300, 1e17, -1e17, -1e-7, -4.9e-7, 5e-7, -5e-7, 2.5e-6]
+        pts = rng.normal(size=(80, 2))
+        pts.ravel()[: len(specials)] = specials
+        pts[-1] = pts[0]
+        poly = CurvePolyline(points=pts, closure_residual=0.0, winding=3)
+        assert "-0.000000" in reference_render_svg([("edge", poly)])
+        assert polyline_csv(poly) == reference_polyline_csv(poly)
+        assert render_svg([("edge", poly)]) == reference_render_svg([("edge", poly)])
+        small = CurvePolyline(points=pts * 1e-6, closure_residual=0.0, winding=1)
+        frames = [("a", small), ("b", poly)]
+        assert render_svg(frames) == reference_render_svg(frames)

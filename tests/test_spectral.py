@@ -10,6 +10,7 @@ from pcsflow.spectral import (
     SpectralState,
     analyze_grid,
     cl_deviation_bound,
+    coeff_seminorm,
     grid_derivative_sup,
     lambda_threshold,
     next_fast_len,
@@ -148,6 +149,15 @@ class TestSeminorm:
                 assert seminorm(scaled, beta) == pytest.approx(
                     abs(a) * seminorm(s, beta), rel=1e-14
                 )
+
+    def test_stack_matches_row_by_row(self, rng):
+        params = FlowParams(p=1, lam=2.0, n_max=8)
+        stack = np.array([random_trapped_state(params, rng).coeffs for _ in range(7)])
+        for beta in (0.5, 2.0, 3.0):
+            rows = coeff_seminorm(stack, beta)
+            assert rows.shape == (7,)
+            assert rows.tolist() == [coeff_seminorm(c, beta) for c in stack]
+            assert rows.tolist() == [seminorm(SpectralState(params, 0.0, c), beta) for c in stack]
 
 
 class TestClBound:
