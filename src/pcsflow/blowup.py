@@ -217,9 +217,10 @@ def estimate_T(traj: Trajectory) -> tuple[float, float]:
     tw, yw = ts[sel], k0[sel] ** -(p + 1)
 
     def fit(tt, yy):
-        slope, intercept = np.polyfit(tt, yy, 1)
-        t0 = -intercept / slope
-        return _gauss_newton_T(tt, yy, p, t0)
+        # about the last time: near the t-resolution floor the t column alone
+        # is nearly parallel to the constant one
+        slope, intercept = np.polyfit(tt - tt[-1], yy, 1)
+        return _gauss_newton_T(tt, yy, p, tt[-1] - intercept / slope)
 
     T_est = fit(tw, yw)
     thirds = np.array_split(np.arange(len(tw)), 3)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -96,6 +97,8 @@ class RunConfig:
 
 
 def _require_keys(section: dict, allowed: set, where: str, required: tuple = ()):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -112,13 +115,23 @@ def _integer(value, where: str) -> int:
 
 
 def _real(value, where: str) -> float:
-    """A real field: a number or numeric text (YAML reads 1e-10 as text); no booleans."""
+    """A real field: a finite number or numeric text (YAML reads 1e-10 as
+    text); no booleans."""
     if not isinstance(value, bool):
         try:
-            return float(value)
-        except (TypeError, ValueError):
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
             pass
-    raise ConfigError(f"{where} must be a number, got {value!r}")
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
 
 
 def _window(value, where: str) -> tuple[float, float]:
@@ -146,37 +159,36 @@ def _parse_params(section: dict) -> FlowParams:
 
 
 def _parse_init(section: dict) -> dict:
-    if "perturbation" in section:
+    if isinstance(section, dict) and "perturbation" in section:
         _require_keys(section, {"perturbation"}, "init")
-        pert = dict(section["perturbation"])
-        where = "init.perturbation"
+        pert, where = section["perturbation"], "init.perturbation"
         _require_keys(pert, {"m", "n", "delta", "harmonics"}, where, required=("m", "n", "delta"))
         harmonics = []
-        for h in pert.get("harmonics", [{"j": 1, "amplitude": 1.0}]):
+        for h in _list(pert.get("harmonics", [{"j": 1, "amplitude": 1.0}]), f"{where}.harmonics"):
             at = f"{where}.harmonics[]"
             _require_keys(h, {"j", "amplitude", "phase"}, at, required=("j", "amplitude"))
             j, amplitude = _integer(h["j"], f"{at}.j"), _real(h["amplitude"], f"{at}.amplitude")
             harmonics.append((j, amplitude, _real(h.get("phase", 0.0), f"{at}.phase")))
+        m, n = _integer(pert["m"], f"{where}.m"), _integer(pert["n"], f"{where}.n")
+        delta = _real(pert["delta"], f"{where}.delta")
         try:
-            spec = PerturbationSpec(
-                m=_integer(pert["m"], f"{where}.m"),
-                n=_integer(pert["n"], f"{where}.n"),
-                delta=_real(pert["delta"], f"{where}.delta"),
-                harmonics=tuple(harmonics),
-            )
+            spec = PerturbationSpec(m=m, n=n, delta=delta, harmonics=tuple(harmonics))
         except ValueError as exc:
             raise ConfigError(f"init.perturbation: {exc}") from exc
         return {"kind": "perturbation", "spec": spec}
     _require_keys(section, {"mean", "harmonics"}, "init")
     if "mean" not in section:
         raise ConfigError("init.mean is required for harmonic initial data")
+    mean = _real(section["mean"], "init.mean")
+    if mean <= 0.0:
+        raise ConfigError(f"init.mean must be positive, got {mean!r}")
     harmonics = []
-    for h in section.get("harmonics", []):
+    for h in _list(section.get("harmonics", []), "init.harmonics"):
         at = "init.harmonics[]"
         _require_keys(h, {"n", "cos", "sin"}, at, required=("n",))
         cos, sin = (_real(h.get(key, 0.0), f"{at}.{key}") for key in ("cos", "sin"))
         harmonics.append((_integer(h["n"], f"{at}.n"), cos, sin))
-    return {"kind": "harmonics", "mean": _real(section["mean"], "init.mean"), "harmonics": harmonics}
+    return {"kind": "harmonics", "mean": mean, "harmonics": harmonics}
 
 
 def _parse_control(section: dict) -> StepControl:
@@ -222,7 +234,7 @@ def _parse_output(section: dict) -> OutputConfig:
     if "directory" in section:
         kwargs["directory"] = str(section["directory"])
     if "formats" in section:
-        kwargs["formats"] = tuple(str(f) for f in section["formats"])
+        kwargs["formats"] = tuple(str(f) for f in _list(section["formats"], "output.formats"))
     return OutputConfig(**kwargs)
 
 
@@ -303,7 +315,10 @@ def emit_config(config: RunConfig) -> dict:
 def initial_state(config: RunConfig) -> SpectralState:
     params = config.params
     if config.init["kind"] == "perturbation":
-        return radial_perturbation_curvature(config.init["spec"], params)
+        try:
+            return radial_perturbation_curvature(config.init["spec"], params)
+        except ValueError as exc:
+            raise ConfigError(f"init.perturbation: {exc}") from exc
     coeffs = np.zeros(params.n_max + 1, dtype=np.complex128)
     coeffs[0] = config.init["mean"]
     for n, a, b in config.init["harmonics"]:
@@ -617,9 +632,13 @@ def cmd_render(args) -> int:
 
     with open(os.path.join(out_dir, "curves.svg"), "w") as fh:
         fh.write(render_svg(frames))
-    for i, (_, poly) in enumerate(frames):
-        with open(os.path.join(out_dir, f"frame_{i:03d}.csv"), "w") as fh:
+    names = [f"frame_{i:03d}.csv" for i in range(len(frames))]
+    for name, (_, poly) in zip(names, frames):
+        with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(polyline_csv(poly))
+    for name in set(os.listdir(out_dir)) - set(names):  # frames of an earlier, longer render
+        if name.startswith("frame_") and name.endswith(".csv"):
+            os.remove(os.path.join(out_dir, name))
     print(f"wrote {len(frames)} frame(s) to {out_dir}")
     return EXIT_OK
 

@@ -44,11 +44,16 @@ def lambda_threshold(p: int) -> float:
 
 def parse_lambda(text: str) -> tuple[float, tuple[int, int]]:
     """Parse a rational frequency scale written as 'n/m' (coprime reduced)."""
-    frac = Fraction(text.strip())
-    n, m = frac.numerator, frac.denominator
-    if n <= 0:
+    try:
+        frac = Fraction(text.strip())
+        lam = frac.numerator / frac.denominator
+    except ZeroDivisionError:
+        raise ValueError(f"frequency scale has a zero denominator: {text!r}") from None
+    except OverflowError:
+        raise ValueError(f"frequency scale is out of range: {text!r}") from None
+    if lam <= 0:
         raise ValueError(f"frequency scale must be positive, got {text!r}")
-    return n / m, (n, m)
+    return lam, (frac.numerator, frac.denominator)
 
 
 @dataclass(frozen=True)

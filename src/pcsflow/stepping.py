@@ -2,31 +2,28 @@
 
 One raw-array core serves both flows: a Lawson integrating-factor form of
 the Dormand-Prince 5(4) pair (Lawson 1967; Hairer, Norsett & Wanner, Solving
-ODEs I, II.5-II.6).  It integrates y' = L y + N(y) for a constant diagonal
-rate vector L, with stages
+ODEs I, II.5-II.6).  It integrates y' = L y + N(y) for a diagonal rate vector
+L held fixed over each step, with stages
 
     Y_i = exp(c_i h L) y + h sum_j a_ij exp((c_i - c_j) h L) K_j,  K_j = N(Y_j),
 
 and the order-5 update and embedded error estimate use the same factors at
 c = 1.  Each factor is one exp of a difference of nodes (never a ratio of
 exponentials, which is 0/0 once a stiff rate underflows), so the linear part
-is integrated exactly and sets no step limit; with L = 0 the core is plain DP5.
-Besides the modes, the state has one clock slot (rate 0) from which the model
-time t follows.  Stage 7, N(y_new), is the next step's first (FSAL): an
-accepted step costs six RHS evaluations, and its padded-grid profile gives the
-positivity check and the normalized peak.
+is integrated exactly and sets no step limit: error control alone sets the
+step.  With L = 0 the core is plain DP5 (``step``).  Besides the modes, the
+state has one clock slot (rate 0) from which the model time t follows.  Stage
+7, N(y_new), is the next step's first (FSAL): an accepted step costs six RHS
+evaluations, and its padded-grid profile gives the positivity check.
 
-The blow-up flow runs on the clock ds = c[0]^{p+1} dt, on which every mode has
-the constant rate L_n = (p+2)/p - lam^2 n^2 (L_0 = 1/p) of the diagonal part of
-the mode system, so it needs no stiffness cap (``integrate`` says what its
-clock slot holds); ``max_step``, ``min_step`` and the step floor still act on
-model time.  The normalized flow and ``step`` are
-plain DP5 on their own time, the normalized flow with the cap
-dt <= safety / (p lam^2 n_max^2 max(k)^{p+1}).  Snapshots sit on a log ladder
-in c[0]: a step that overshoots a rung is redone to the root of its dense-output
-c[0] (Hairer, Norsett & Wanner, II.6, on the factored-out variable), with
-Newton corrections on the FSAL dc[0]/ds only while c[0] misses the rung by more
-than 1e-12 of it.
+The blow-up flow runs on the clock ds = c[0]^{p+1} dt, with the constant rates
+L_n = (p+2)/p - lam^2 n^2 (L_0 = 1/p) of the mode system's diagonal part;
+``max_step``, ``min_step`` and the step floor act on model time.  The
+normalized flow runs on tau, with the rates of its linearization at the circle
+of its current mean.  Blow-up snapshots sit on a log ladder in c[0]: a step
+that overshoots a rung is redone to the root of its dense-output c[0] (Hairer,
+Norsett & Wanner, II.6, on the factored-out variable), with Newton corrections
+on the FSAL dc[0]/ds only while c[0] misses the rung by more than 1e-12 of it.
 """
 
 from __future__ import annotations
@@ -74,7 +71,8 @@ _ROWS = [slice((i - 1) * (i + 2) // 2, (i - 1) * (i + 2) // 2 + i + 1) for i in 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Error tolerances, stability safety factor, and stopping thresholds."""
+    """Error tolerances, stopping thresholds and snapshot spacing.  ``safety``
+    is still validated and accepted in configs, but no flow reads it."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
@@ -100,10 +98,9 @@ class StepControl:
 @dataclass
 class RunStats:
     """What one run did.  Step counts are the controller's, plus ``landing``
-    rung-landing steps; ``cap_bound_frac`` is the share of controller steps
-    whose size the stiffness cap set (always 0 for the blow-up flow, whose
-    rescaled clock has no cap); dt spans the accepted ones, in model time;
-    ``min_trap_margin`` covers the start and every accepted step."""
+    rung-landing steps; dt spans the accepted ones, in model time;
+    ``min_trap_margin`` covers the start and every accepted step.  No flow has
+    a stiffness cap, so ``cap_bound_frac`` reads 0; older trailers carry it."""
 
     accepted: int = 0
     rejected: int = 0
@@ -192,8 +189,7 @@ class _Stepper:
     def __init__(self, params, y, control: StepControl, rhs, rates=None, clock=_own_clock):
         self.params, self.control, self.rhs, self.clock = params, control, rhs, clock
         self.rates = np.zeros(y.size) if rates is None else rates
-        self.stats = RunStats(dt_min=math.inf)
-        self.cap_bound, self.start = 0, time.perf_counter()
+        self.stats, self.start = RunStats(dt_min=math.inf), time.perf_counter()
         self.reset(y)
         gmin = 1.0 if self.grid is None else float(self.grid.min())
         if gmin <= 0.0:
@@ -260,25 +256,23 @@ class _Stepper:
             h += gap / (rate * cand.y[0].real + cand.ks[6, 0].real)
         return best
 
-    def run(self, traj, h, max_steps, done, settle, cap=lambda: math.inf, clip=lambda h: h):
+    def run(self, traj, h, max_steps, done, settle, clip):
         """The adaptive loop both flows share; True when ``done()`` ended it.
         Steps h are on the core's clock s; ``max_step`` and the step floor act
-        on the model-time step dt = h dt/ds.  ``cap()`` is a stiffness cap on h,
-        ``clip(h)`` may shorten a step onto a clock mark, and ``settle(trial)``
-        moves onto an accepted trial and says whether to record the new point.
-        Fills ``traj.stats``."""
+        on the model-time step dt = h dt/ds, ``clip(h)`` may shorten a step onto
+        a clock mark, and ``settle(trial)`` moves onto an accepted trial and
+        says whether to record the new point.  Fills ``traj.stats``."""
         control, stats, finished = self.control, self.stats, False
         for _ in range(max_steps):
             if finished := done():
                 break
-            (t, speed), limit = self.clock(self.y), cap()
-            h = clip(min(h, limit, control.max_step / speed))
+            t, speed = self.clock(self.y)
+            h = clip(min(h, control.max_step / speed))
             dt = h * speed
             if t + dt == t or dt < control.min_step:
                 traj.add_event(t, "step_floor", f"dt={dt:.3e}")
                 break
             trial = self.attempt(h)
-            self.cap_bound += h == limit
             if trial.err > 1.0:
                 stats.rejected += 1
                 h *= _controller_factor(trial.err)
@@ -287,6 +281,9 @@ class _Stepper:
             dt = self.clock(trial.y)[0] - t
             stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
             record = settle(trial)
+            if self.t <= t:  # the step no longer moves t (near blow-up, T - t < ulp(T))
+                traj.add_event(t, "step_floor", "model time no longer advances")
+                break
             gmin = float(self.grid.min())
             if record or gmin <= 0.0:
                 traj.append(self.state())
@@ -296,7 +293,6 @@ class _Stepper:
             h *= _controller_factor(trial.err)
         else:
             traj.add_event(self.t, "step_floor", "max_steps exhausted")
-        stats.cap_bound_frac = self.cap_bound / max(stats.accepted + stats.rejected, 1)
         stats.dt_min = stats.dt_min if stats.accepted else 0.0
         stats.wall_s = time.perf_counter() - self.start
         traj.stats = stats
@@ -341,8 +337,7 @@ def integrate(
 
     z0 = init.t + p / (p + 1) * init.mean ** -(p + 1)
     core = _Stepper(init.params, np.append(init.coeffs, z0), control, rhs, rates, clock)
-    traj = Trajectory(params=init.params)
-    traj.append(init)
+    traj = Trajectory(params=init.params, snapshots=[init])
     ratio = 10.0 ** (1.0 / control.snapshots_per_decade)
     next_level, negative = init.mean * ratio, False
 
@@ -377,7 +372,7 @@ def integrate(
         core.stats.min_trap_margin = math.inf
         watch_trap()
     reached = core.run(
-        traj, 0.01 * p, max_steps, lambda: core.y[0].real >= control.k0_stop, settle, clip=clip
+        traj, 0.01 * p, max_steps, lambda: core.y[0].real >= control.k0_stop, settle, clip
     )
     if reached:
         traj.add_event(core.t, "blow_up_stop", f"k0={core.y[0].real:.6e}")
@@ -401,23 +396,30 @@ def integrate_normalized(
     projected back to 1 after every accepted step, which quotients that
     gauge direction and is required for clean rate measurements once the
     unstable contamination (seeded at O(deviation^2) by the quadratic
-    coupling) would otherwise outgrow the decaying modes.
-
-    Snapshots land exactly on multiples of tau_snapshot_interval, or on the
-    explicit ``tau_snapshots`` list when given.
+    coupling) would otherwise outgrow the decaying modes.  The core's rates
+    are the linearization's at the circle of the current mean m,
+    L_n = m^{p+1} (p+2 - p lam^2 n^2) - 1, and 0 on the mean, the gauge
+    direction, so N = 0 on every circle.  L is refrozen at the new mean after
+    each accepted step (the frozen linearization of exponential Rosenbrock
+    methods; Hochbruck & Ostermann, Acta Numerica 19, 2010, 4).  Snapshots
+    land on multiples of tau_snapshot_interval, or on ``tau_snapshots``.
     """
     control = control or StepControl()
-    p, lam, n_max = init.params.p, init.params.lam, init.params.n_max
+    p, lam, n = init.params.p, init.params.lam, np.arange(1, init.params.n_max + 1)
     state = init.with_coeffs(np.r_[1.0, init.coeffs[1:]]) if renormalize_mean else init
     plan = RhsPlan(init.params, normalized=True)
 
+    def frozen(mean: float) -> np.ndarray:
+        return np.r_[0.0, mean ** (p + 1) * (p + 2 - p * lam**2 * n**2) - 1.0, 0.0]
+
+    rates = frozen(state.mean)
+
     def rhs(y: np.ndarray):
         deriv, grid = plan(y[:-1])
-        return deriv, 1.0, grid
+        return deriv - rates[:-1] * y[:-1], 1.0, grid
 
-    core = _Stepper(state.params, np.append(state.coeffs, state.t), control, rhs)
-    traj = Trajectory(params=init.params)
-    traj.append(state)
+    core = _Stepper(state.params, np.append(state.coeffs, state.t), control, rhs, rates)
+    traj = Trajectory(params=init.params, snapshots=[state])
 
     if tau_snapshots is not None:
         marks = sorted(t for t in tau_snapshots if state.t < t <= tau_horizon)
@@ -429,10 +431,6 @@ def integrate_normalized(
             marks.append(tau_horizon)
     on_mark = False
 
-    def cap() -> float:
-        peak = max(float(core.grid.max()), 1.0)
-        return control.safety / (p * lam**2 * n_max**2 * peak ** (p + 1))
-
     def clip(h: float) -> float:
         nonlocal on_mark
         on_mark = bool(marks) and core.t + h >= marks[0] - 1e-12
@@ -443,11 +441,13 @@ def integrate_normalized(
         if renormalize_mean:
             core.y[0] = 1.0
             core.reset(core.y)
+        else:  # refreeze L (the core's rates too) at the new mean; N = plan(y) - L y moves with it
+            new = frozen(core.y[0].real)
+            core.f += (rates - new) * core.y
+            rates[:] = new
         if on_mark:
             marks.pop(0)
         return on_mark
 
-    core.run(
-        traj, control.max_step, max_steps, lambda: core.t >= tau_horizon - 1e-12, settle, cap, clip
-    )
+    core.run(traj, control.max_step, max_steps, lambda: core.t >= tau_horizon - 1e-12, settle, clip)
     return traj

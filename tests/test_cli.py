@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +125,107 @@ class TestStrictConfig:
         doc["init"]["perturbation"]["harmonics"] = [{"amplitude": 1.0, "phase": 0.0}]
         self.assert_config_error(tmp_path, capsys, doc, "init.perturbation.harmonics[].j is required")
 
+    @pytest.mark.parametrize(
+        "section,value,message",
+        [
+            ("params", 5, "params must be a mapping"),
+            ("init", 7, "init must be a mapping"),
+            ("init", {"perturbation": 3}, "init.perturbation must be a mapping"),
+            ("init", {"mean": 1.0, "harmonics": [5]}, "init.harmonics[] must be a mapping"),
+            ("output", {"formats": 5}, "output.formats must be a list"),
+            ("params", {"p": 1, "lambda": "2/0", "n_max": 2}, "zero denominator"),
+        ],
+        ids=["params", "init", "perturbation", "harmonic", "formats", "lambda_over_zero"],
+    )
+    def test_malformed_shape(self, tmp_path, capsys, section, value, message):
+        doc = json.loads(json.dumps(CONST_CONFIG))
+        doc[section] = value
+        self.assert_config_error(tmp_path, capsys, doc, message)
+
+
+# Values a config field may be replaced by: wrong types, wrong shapes, and
+# numbers out of range, all small enough that a run stays short.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10),
+    st.sampled_from([0.0, -1.0, 1e-3, 0.5, 2.5, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["7/2", "2/0", "0/3", "-5/2", "1e400", "1e-3", "x", ""]),
+    st.text(max_size=5),
+    st.lists(st.integers(-3, 10), max_size=2),
+    st.dictionaries(st.sampled_from(["n", "j", "cos", "mean", "zz"]), st.integers(-3, 10), max_size=2),
+)
+
+
+@st.composite
+def small_configs(draw):
+    """A valid run config with n_max <= 4 and k0_stop <= 10."""
+    p, n_max = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        n, m = draw(st.sampled_from([(5, 2), (7, 2), (3, 1), (7, 3)]))
+        lam = f"{n}/{m}"
+        pert = {"m": m, "n": n, "delta": draw(st.sampled_from([5e-4, 2e-3]))}
+        pert["harmonics"] = [{"j": 1, "amplitude": 1.0, "phase": draw(st.sampled_from([0.0, 0.3]))}]
+        init = {"perturbation": pert}
+    else:
+        lam = draw(st.sampled_from([2.0, 2.5, "7/2"]))
+        sin = draw(st.sampled_from([0.0, 0.004]))
+        modes = range(1, draw(st.integers(0, n_max)) + 1)
+        init = {
+            "mean": draw(st.sampled_from([0.5, 1.0, 2.0])),
+            "harmonics": [{"n": n, "cos": 0.01 / n**2, "sin": sin / n**2} for n in modes],
+        }
+    return {
+        "params": {"p": p, "lambda": lam, "n_max": n_max},
+        "init": init,
+        "control": {"k0_stop": draw(st.sampled_from([2.0, 10.0])), "snapshots_per_decade": 10},
+        "analysis": {"tau_window": [2.0, 8.0]},
+        "output": {"directory": "out", "formats": ["jsonl"]},
+        "seed": 0,
+    }
+
+
+def config_paths(doc, prefix=()):
+    """Every position in a nested config, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from config_paths(value, prefix + (key,))
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=small_configs(), data=st.data())
+def test_generated_configs_never_trace_back(tmp_path_factory, doc, data):
+    # up to two mutations: a field replaced by junk, deleted, or joined by an unknown key
+    for _ in range(data.draw(st.integers(0, 2))):
+        path = data.draw(st.sampled_from(list(config_paths(doc))))
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if not path:
+            doc = data.draw(JUNK)
+            continue
+        *head, key = path
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        if action == "delete" and isinstance(parent, dict):
+            del parent[key]
+        elif action == "add" and isinstance(parent[key], dict):
+            parent[key]["unknown"] = data.draw(JUNK)
+        else:
+            parent[key] = data.draw(JUNK)
+    work = tmp_path_factory.mktemp("fuzz")
+    config = work / "config.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["simulate", "--config", str(config), "--out", str(work / "out")])
+    # a warning would reach stderr as two more lines
+    assert not caught, [str(w.message) for w in caught]
+    assert 0 <= code <= 6
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
 
 class TestSimulate:
     def test_constant_run(self, tmp_path):
@@ -170,6 +274,23 @@ class TestSimulate:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_t_resolution_floor_ends_in_step_floor(self, tmp_path, capsys):
+        # at p=2 the default k0_stop=1e6 puts T - t ~ 1e-18 below ulp(T): the
+        # run stops where t stalls, and estimating T from the crowded last
+        # decade stays well conditioned
+        doc = json.loads(json.dumps(CONST_CONFIG))
+        doc["params"]["p"] = 2
+        del doc["control"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, traj_path = run_simulation(tmp_path, doc)
+        assert code == cli.EXIT_INCOMPLETE and not caught
+        assert capsys.readouterr().err == ""
+        traj, _ = cli.read_trajectory(traj_path)
+        assert traj.events[-1][1:] == ("step_floor", "model time no longer advances")
+        assert traj.snapshots[-1].mean > 1e5
+        assert traj.T_est == pytest.approx(2 / 3, rel=1e-12)
 
     def test_positivity_loss_exit_code(self, tmp_path):
         doc = json.loads(json.dumps(CONST_CONFIG))
@@ -413,6 +534,15 @@ class TestRender:
         with open(os.path.join(out2, "curves.svg"), "rb") as fh:
             svg2 = fh.read()
         assert svg1 == svg2
+
+    def test_rerender_with_fewer_frames_drops_stale_ones(self, pert_run, tmp_path, capsys):
+        out = str(tmp_path / "frames")
+        for frames in ("8", "2"):
+            assert cli.main(["render", "--traj", pert_run, "--frames", frames, "--out", out]) == 0
+        capsys.readouterr()
+        with open(os.path.join(out, "curves.svg")) as fh:
+            assert fh.read().count("<path") == 2
+        assert sorted(os.listdir(out)) == ["curves.svg", "frame_000.csv", "frame_001.csv"]
 
     @pytest.mark.parametrize("frames", ["0", "-3"])
     def test_frames_below_one_exit_1(self, pert_run, tmp_path, capsys, frames):

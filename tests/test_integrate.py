@@ -278,13 +278,54 @@ class TestIntegrateNormalized:
         assert np.min(synthesize(traj.snapshots[-1], 64).values) > 0.0
 
     def test_normalized_blow_up_hits_step_floor(self):
-        # super-equilibrium data blows up in finite tau; the stiffness cap
-        # then drives dt to the floor and the run halts with the event
+        # super-equilibrium data blows up in finite tau; error control on the
+        # growing mean shrinks dt until tau no longer resolves it, and the run
+        # halts with the event
         params = FlowParams(p=1, lam=2.0, n_max=4)
         init = make_state(params, {0: 3.0, 1: 0.7})
         traj = integrate_normalized(init, 10.0, StepControl())
         assert traj.has_event("step_floor")
         assert traj.snapshots[-1].t < 10.0
+
+    def test_collapse_takes_few_steps(self):
+        # the rates are refrozen at the shrinking mean, so they never grow
+        # stiffer than the flow: at most the 586 step calls of plain DP5
+        # under the old stiffness cap
+        params = FlowParams(p=1, lam=2.0, n_max=4)
+        stats = integrate_normalized(make_state(params, {0: 1.0, 1: 0.45}), 5.0, StepControl()).stats
+        assert stats.accepted + stats.rejected <= 586
+
+    def test_step_count_does_not_grow_with_band_width(self):
+        def steps(n_max):
+            init = make_state(FlowParams(p=1, lam=2.0, n_max=n_max), {0: 1.0, 1: 0.0025})
+            return integrate_normalized(init, 8.5, StepControl(), renormalize_mean=True).stats.accepted
+
+        assert steps(32) <= 1.5 * steps(8)
+
+
+class TestNormalizedLawsonAgainstDP5:
+    @pytest.mark.parametrize(
+        "p,entries,horizon",
+        [(1, {0: 1.0, 1: 0.0025}, 2.0), (2, {0: 1.0, 1: 0.0025}, 2.0), (1, {0: 1.0, 1: 0.45}, 5.0)],
+        ids=["p1", "p2", "collapse"],
+    )
+    def test_marks_match_plain_dp5(self, p, entries, horizon):
+        # re-step every 5th interval between tau marks with plain DP5 on
+        # normalized_rhs, in equal substeps below the old stiffness cap
+        # safety / (p lam^2 n_max^2 max(u)^{p+1})
+        params = FlowParams(p=p, lam=2.0, n_max=4)
+        control = StepControl()
+        traj = integrate_normalized(make_state(params, entries), horizon, control)
+        pairs = list(zip(traj.snapshots[:-1], traj.snapshots[1:]))[::5]
+        assert len(pairs) >= 4
+        for start, end in pairs:
+            peak = max(float(synthesize(start).values.max()), 1.0)
+            cap = control.safety / (p * 4.0 * 16 * peak ** (p + 1))
+            substeps = int(np.ceil((end.t - start.t) / cap)) + 1
+            state = start
+            for _ in range(substeps):
+                state, _ = step(state, (end.t - start.t) / substeps, control, rhs=normalized_rhs)
+            assert np.max(np.abs(state.coeffs - end.coeffs)) / end.mean <= 1e-9
 
 
 class TestTwoRouteConsistency:
