@@ -57,6 +57,10 @@ EXIT_VERSION = 4
 EXIT_RATIONAL = 5
 EXIT_INCOMPLETE = 6
 
+# Largest params.n_max a config may ask for, 32 times the 2,048 of the largest
+# measured run; it is checked before any array is allocated.
+MAX_N_MAX = 65_536
+
 
 def thread_count() -> int:
     """Worker count for independent verify/bench cases (PCSFLOW_THREADS)."""
@@ -148,6 +152,8 @@ def _parse_params(section: dict) -> FlowParams:
     _require_keys(section, {"p", "lambda", "n_max"}, "params", required=("p", "lambda", "n_max"))
     lam_spec = section["lambda"]
     p, n_max = _integer(section["p"], "params.p"), _integer(section["n_max"], "params.n_max")
+    if n_max > MAX_N_MAX:
+        raise ConfigError(f"params.n_max must be at most {MAX_N_MAX}, got {n_max}")
     try:
         if isinstance(lam_spec, str):
             lam, rational = parse_lambda(lam_spec)
@@ -221,6 +227,8 @@ def _parse_analysis(section: dict) -> AnalysisConfig:
     for key, value in section.items():
         if key == "c_override":
             kwargs[key] = None if value is None else _real(value, "analysis.c_override")
+            if value is not None and kwargs[key] <= 0.0:
+                raise ConfigError(f"analysis.c_override must be positive, got {value!r}")
         elif key == "rate_tolerance":
             kwargs[key] = _real(value, "analysis.rate_tolerance")
         else:

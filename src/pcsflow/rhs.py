@@ -38,7 +38,6 @@ __all__ = [
     "h_kernel",
     "pad_size",
     "RhsPlan",
-    "grid_extrema",
     "rhs_direct",
     "rhs_convolution",
     "rhs_fast",
@@ -102,12 +101,6 @@ class RhsPlan:
             deriv = p * deriv - coeffs
         deriv[0] = deriv[0].real
         return deriv, k
-
-
-def grid_extrema(state: SpectralState) -> tuple[float, float]:
-    """(min, max) of the profile on the dealiasing grid."""
-    _, k = RhsPlan(state.params)(state.coeffs)
-    return float(k.min()), float(k.max())
 
 
 def rhs_fast(state: SpectralState) -> np.ndarray:

@@ -14,16 +14,19 @@ is integrated exactly and sets no step limit: error control alone sets the
 step.  With L = 0 the core is plain DP5 (``step``).  Besides the modes, the
 state has one clock slot (rate 0) from which the model time t follows.  Stage
 7, N(y_new), is the next step's first (FSAL): an accepted step costs six RHS
-evaluations, and its padded-grid profile gives the positivity check.
+evaluations, and its padded-grid profile gives the positivity check.  The
+error norm is mixed (II.4), with abs_tol max(1, |c[0]|) on the modes, in units
+of the mean like the FFT round-off of N, and abs_tol on the clock slot.
 
 The blow-up flow runs on the clock ds = c[0]^{p+1} dt, with the constant rates
 L_n = (p+2)/p - lam^2 n^2 (L_0 = 1/p) of the mode system's diagonal part;
 ``max_step``, ``min_step`` and the step floor act on model time.  The
 normalized flow runs on tau, with the rates of its linearization at the circle
-of its current mean.  Blow-up snapshots sit on a log ladder in c[0]: a step
-that overshoots a rung is redone to the root of its dense-output c[0] (Hairer,
-Norsett & Wanner, II.6, on the factored-out variable), with Newton corrections
-on the FSAL dc[0]/ds only while c[0] misses the rung by more than 1e-12 of it.
+of its current mean.  Blow-up snapshots sit on a log ladder in c[0]; a step
+that would reach the next rung is aimed at it, its length the root of the
+predicted c[0](h) (event location, II.6), so it is the snapshot.  One that
+misses by over 1e-12 of the rung, or a plain step across it, is redone with
+Newton corrections on the real step from the FSAL dc[0]/ds.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ __all__ = ["StepControl", "RunStats", "Trajectory", "step", "integrate", "integr
 
 # Dormand-Prince 5(4) tableau: nodes _C, row i of _A combines stages 1..i into
 # stage i+1, and the last row is the order-5 weights, so stage 7 is f(y_new).
-# _E is the difference against the order-4 weights, _D the dense-output
-# coefficients.
+# _E is the difference against the order-4 weights.
 _C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1])
 _A = [
     (1 / 5,),
@@ -55,10 +57,6 @@ _A = [
     (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 ]
 _E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-_D = np.array(
-    [-12715105075 / 11282082432, 0, 87487479700 / 32700410799, -10690763975 / 1880347072]
-    + [701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423]
-)
 
 # The Lawson tableau as weight rows over z = (y, K_1, ..., K_7): the row of
 # stage i+1 is (1, h a_i) times exp((c_i - (0, c_1..c_i)) h L), and the error
@@ -97,10 +95,10 @@ class StepControl:
 
 @dataclass
 class RunStats:
-    """What one run did.  Step counts are the controller's, plus ``landing``
-    rung-landing steps; dt spans the accepted ones, in model time;
-    ``min_trap_margin`` covers the start and every accepted step.  No flow has
-    a stiffness cap, so ``cap_bound_frac`` reads 0; older trailers carry it."""
+    """What one run did.  ``landing`` counts the accepted steps aimed at a
+    blow-up rung and their redos, ``accepted`` the other accepted steps; dt
+    spans both, in model time; ``min_trap_margin`` covers the start and every
+    accepted step.  No flow has a stiffness cap: ``cap_bound_frac`` reads 0 (old trailers carry it)."""
 
     accepted: int = 0
     rejected: int = 0
@@ -221,53 +219,41 @@ class _Stepper:
             raise IntegrationError(
                 f"non-finite derivative at t={self.t:.6g} (|y|max={np.max(np.abs(y_new)):.3e})"
             )
-        scale = self.control.abs_tol + self.control.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = self.control.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        scale[:-1] += self.control.abs_tol * max(1.0, abs(y[0]))
+        scale[-1] += self.control.abs_tol
         return _Trial(h, y_new, z[1:], grid, float(np.sqrt(np.mean(np.abs(err / scale) ** 2))))
 
     def accept(self, trial: _Trial):
         self.y, self.f, self.grid = trial.y, trial.ks[6], trial.grid
 
     def land(self, trial: _Trial, level: float) -> _Trial:
-        """The step onto c[0] == level, which ``trial`` overshoots: Newton on
-        trial's dense output for c[0], then on the real step."""
-        h, rate, y0, y1 = trial.h, self.rates[0], self.y[0].real, trial.y[0].real
-        # DP5's dense-output quartic for v(theta) = exp(-theta h L_0) c[0],
-        # whose stage slopes are exp(-c_i h L_0) K_i
-        k = np.exp(-h * rate * _C) * trial.ks[:, 0].real
-        vdiff = math.exp(-h * rate) * y1 - y0
-        bspl = h * k[0] - vdiff
-        r4, r5 = vdiff - h * k[6] - bspl, h * float(_D @ k)
-        c1, c2, c3, c4 = vdiff + bspl, r4 + r5 - bspl, -r4 - 2 * r5, r5
-        theta = (level - y0) / (y1 - y0)
-        for _ in range(6):
-            v = y0 + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
-            dv = c1 + theta * (2 * c2 + theta * (3 * c3 + theta * 4 * c4))
-            grow = math.exp(theta * h * rate)
-            theta -= (grow * v - level) / (grow * (dv + h * rate * v))
-        h, best = h * min(max(theta, 0.0), 1.0), None
+        """Newton on the real step from ``trial``, an accepted step aimed at or
+        across c[0] == level: redo it with h += gap / (dc[0]/ds) at its end until
+        c[0] is within 1e-12 of level (at most four redos, each a landing step)."""
         for _ in range(4):
-            cand = self.attempt(h)
-            self.stats.landing += 1
-            gap = level - cand.y[0].real
-            if best is None or abs(gap) < abs(level - best.y[0].real):
-                best = cand
+            gap = level - trial.y[0].real
             if abs(gap) <= 1e-12 * level:
                 break
-            h += gap / (rate * cand.y[0].real + cand.ks[6, 0].real)
-        return best
+            trial = self.attempt(trial.h + gap / (self.rates[0] * trial.y[0].real + trial.ks[6, 0].real))
+            self.stats.landing += 1
+        return trial
 
     def run(self, traj, h, max_steps, done, settle, clip):
         """The adaptive loop both flows share; True when ``done()`` ended it.
         Steps h are on the core's clock s; ``max_step`` and the step floor act
-        on the model-time step dt = h dt/ds, ``clip(h)`` may shorten a step onto
-        a clock mark, and ``settle(trial)`` moves onto an accepted trial and
-        says whether to record the new point.  Fills ``traj.stats``."""
+        on the model-time step dt = h dt/ds.  ``clip(h)`` may shorten a step onto
+        a mark, and the next starts from the unclipped h; ``settle(trial)``
+        moves onto an accepted trial and says whether to record the new point,
+        a step_floor once t no longer tells it from the last snapshot.  Fills
+        ``traj.stats``."""
         control, stats, finished = self.control, self.stats, False
         for _ in range(max_steps):
             if finished := done():
                 break
             t, speed = self.clock(self.y)
-            h = clip(min(h, control.max_step / speed))
+            proposal = min(h, control.max_step / speed)
+            h = clip(proposal)
             dt = h * speed
             if t + dt == t or dt < control.min_step:
                 traj.add_event(t, "step_floor", f"dt={dt:.3e}")
@@ -278,19 +264,19 @@ class _Stepper:
                 h *= _controller_factor(trial.err)
                 continue
             stats.accepted += 1
-            dt = self.clock(trial.y)[0] - t
-            stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
             record = settle(trial)
-            if self.t <= t:  # the step no longer moves t (near blow-up, T - t < ulp(T))
-                traj.add_event(t, "step_floor", "model time no longer advances")
-                break
+            dt = self.t - t
+            stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
             gmin = float(self.grid.min())
             if record or gmin <= 0.0:
+                if self.t <= traj.snapshots[-1].t:
+                    traj.add_event(t, "step_floor", "model time no longer advances")
+                    break
                 traj.append(self.state())
             if gmin <= 0.0:
                 traj.add_event(self.t, "positivity_loss", f"grid min={gmin:.3e}")
                 break
-            h *= _controller_factor(trial.err)
+            h = proposal if h < proposal else h * _controller_factor(trial.err)
         else:
             traj.add_event(self.t, "step_floor", "max_steps exhausted")
         stats.dt_min = stats.dt_min if stats.accepted else 0.0
@@ -315,9 +301,9 @@ def integrate(
     adds no quadrature error of dt/ds ~ exp(-(p+1) s/p) to T - t, which the
     normalized-frame analysis needs to far below rel_tol.
     Snapshots land on each rung of the log ladder in c[0] (snapshots_per_decade
-    per decade).  With ``trap_c`` the trapping margin is checked at the start
-    and at every accepted step; a trap_violation event marks each turn negative
-    (the run continues).
+    per decade), each by the step aimed at it.  With ``trap_c`` the trapping
+    margin is checked at the start and at every accepted step; a trap_violation
+    event marks each turn negative (the run continues).
     """
     control = control or StepControl()
     p, lam, n_max = init.params.p, init.params.lam, init.params.n_max
@@ -339,7 +325,7 @@ def integrate(
     core = _Stepper(init.params, np.append(init.coeffs, z0), control, rhs, rates, clock)
     traj = Trajectory(params=init.params, snapshots=[init])
     ratio = 10.0 ** (1.0 / control.snapshots_per_decade)
-    next_level, negative = init.mean * ratio, False
+    next_level, negative, aimed, decay = init.mean * ratio, False, False, 0.0
 
     def watch_trap():
         nonlocal negative
@@ -350,23 +336,36 @@ def integrate(
         negative = margin < 0.0
 
     def settle(trial: _Trial) -> bool:
-        nonlocal next_level
-        # land on snapshot rungs (only while the mean is growing)
-        crossing = trial.y[0].real >= next_level > core.y[0].real
-        core.accept(core.land(trial, next_level) if crossing else trial)
-        if crossing:
+        nonlocal next_level, decay
+        landing = aimed or trial.y[0].real >= next_level
+        if landing:
+            if aimed:  # the step aimed at the rung is a landing step, not a plain one
+                core.stats.accepted -= 1
+                core.stats.landing += 1
+            trial = core.land(trial, next_level)
             next_level *= ratio
+        start, end = trial.ks[0, 0].real, trial.ks[6, 0].real
+        decay = max(0.0, math.log(start / end) / trial.h) if start * end > 0.0 else 0.0
+        core.accept(trial)
         while core.y[0].real >= next_level:
             next_level *= ratio
         if trap_c is not None:
             watch_trap()
-        return crossing
+        return landing
 
     def clip(h: float) -> float:
-        # at the linear rate 1/p of c[0], end short of the second rung ahead:
-        # landing redoes a longer step anyway, and once c[0] is integrated
-        # exactly nothing else would stop h growing until exp(h L) overflows
-        return min(h, p * math.log(next_level * ratio / core.y[0].real))
+        # aim at the next rung: fixed-point passes on c[0](h) == next_level for
+        # dc[0]/ds = c[0]/p + N_0 exp(-decay s), N_0 fading as over the last step
+        nonlocal aimed
+        c0, n0, rate, aim = core.y[0].real, core.f[0].real, decay + 1 / p, 0.0
+        for _ in range(4):
+            base = c0 - n0 * math.expm1(-rate * aim) / rate
+            if not 0.0 < base < next_level:  # no root: the controller's step
+                aim = math.inf
+                break
+            aim = p * math.log(next_level / base)
+        aimed = aim <= h
+        return aim if aimed else h
 
     if trap_c is not None:
         core.stats.min_trap_margin = math.inf

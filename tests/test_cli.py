@@ -142,6 +142,20 @@ class TestStrictConfig:
         doc[section] = value
         self.assert_config_error(tmp_path, capsys, doc, message)
 
+    @pytest.mark.parametrize(
+        "section,value,message",
+        [
+            ("params", {"p": 1, "lambda": 2.0, "n_max": cli.MAX_N_MAX + 1}, "params.n_max must be at most"),
+            ("analysis", {"c_override": 0.0}, "analysis.c_override must be positive"),
+            ("analysis", {"c_override": -1.0}, "analysis.c_override must be positive"),
+        ],
+        ids=["n_max_above_bound", "zero_c_override", "negative_c_override"],
+    )
+    def test_out_of_range_value(self, tmp_path, capsys, section, value, message):
+        doc = json.loads(json.dumps(CONST_CONFIG))
+        doc[section] = value
+        self.assert_config_error(tmp_path, capsys, doc, message)
+
 
 # Values a config field may be replaced by: wrong types, wrong shapes, and
 # numbers out of range, all small enough that a run stays short.
@@ -567,7 +581,8 @@ class TestRender:
     def test_non_rational_lambda_exit_5(self, tmp_path, capsys):
         code, traj_path = run_simulation(tmp_path, CONST_CONFIG)  # lam=2.0 untagged
         assert code == 0
-        assert cli.main(["render", "--traj", traj_path, "--frames", "2"]) == cli.EXIT_RATIONAL
+        out = str(tmp_path / "frames")
+        assert cli.main(["render", "--traj", traj_path, "--frames", "2", "--out", out]) == cli.EXIT_RATIONAL
         capsys.readouterr()
 
 

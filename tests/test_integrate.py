@@ -1,7 +1,10 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
-from pcsflow.blowup import estimate_T, trap_margin
+from pcsflow.blowup import estimate_T, select_c, trap_margin
 from pcsflow.errors import PositivityError
 from pcsflow.normalize import rescale_state
 from pcsflow.rhs import normalized_rhs
@@ -172,6 +175,63 @@ class TestIntegratePerturbed:
         assert traj.has_event("trap_violation")
         assert traj.events[0][1] == "trap_violation"
         assert traj.events[0][0] == 0.0
+
+
+def cone_state(seed: int) -> SpectralState:
+    """Mean-1 data for p=1, lam=2, n_max=8 strictly inside the trapping cone,
+    drawn from the seed as the blow-up benchmark workload draws it: mode 1 at
+    30-60 % and modes 2 and 3 at most 30 % of the bound 1/(c n^2), each at a
+    seeded phase."""
+    rng, params = random.Random(seed), FlowParams(p=1, lam=2.0, n_max=8)
+    entries = {0: 1.0}
+    for n in (1, 2, 3):
+        share = rng.uniform(0.3, 0.6) if n == 1 else rng.uniform(0.0, 0.3)
+        angle = rng.uniform(0.0, 2 * math.pi)
+        entries[n] = share / (select_c(params) * n * n) * complex(math.cos(angle), math.sin(angle))
+    return make_state(params, entries)
+
+
+@pytest.fixture(scope="module")
+def cone_runs():
+    return {seed: integrate(cone_state(seed), StepControl(k0_stop=1e6), trap_c=256.0) for seed in range(30)}
+
+
+def step_calls(traj) -> int:
+    """Step calls of a blow-up run, after the bookkeeping that must hold."""
+    stats, rungs = traj.stats, len(traj.snapshots) - 1
+    calls = stats.accepted + stats.rejected + stats.landing
+    assert traj.has_event("blow_up_stop")
+    assert stats.rhs_evals == 1 + 6 * calls
+    assert 0 < stats.landing <= 2 * rungs
+    return calls
+
+
+class TestRungLanding:
+    def test_sub_ulp_landing_step_keeps_running(self):
+        # a landing step can move t by less than ulp(T) from the last accepted
+        # point while T - t is still about 2e-11: the rung is later than the
+        # last snapshot, so the run goes on
+        params = FlowParams(p=1, lam=2.0, n_max=8)
+        init = make_state(params, {0: 1.0, 1: 0.005, 2: 0.002j, 3: 0.001})
+        traj = integrate(init, StepControl(k0_stop=1e6))
+        assert [e[1] for e in traj.events] == ["blow_up_stop"]
+
+    def test_cone_data_reach_k0_stop(self, cone_runs):
+        # includes the data of seeds 25 and 27, which once ended in step_floor
+        # between k0 = 5e5 and 1e6
+        stopped = {s: traj.events for s, traj in cone_runs.items() if [e[1] for e in traj.events] != ["blow_up_stop"]}
+        assert not stopped
+
+    def test_at_most_one_and_a_half_step_calls_per_rung(self, cone_runs):
+        # each rung is reached by the step aimed at it, nearly always in one call
+        traj = cone_runs[0]
+        assert step_calls(traj) <= 1.5 * (len(traj.snapshots) - 1)
+
+    def test_tight_tolerance_stays_cheap(self):
+        # abs_tol is in units of the mean, so it never asks for less than the
+        # FFT round-off (about eps k0) as the mean grows
+        traj = integrate(cone_state(0), TIGHT, trap_c=256.0)
+        assert step_calls(traj) < 2000
 
 
 class TestLawsonAgainstDP5:
