@@ -12,7 +12,7 @@ bench      timing table for the direct vs fast mode-derivative paths
 
 Exit codes: 0 clean, 1 config/schema error or an analysis the trajectory
 cannot support (AnalysisError), 2 positivity loss, 3 trap violation,
-4 trajectory unreadable: missing, torn, or wrong format version,
+4 trajectory unreadable: missing, torn, malformed, or wrong format version,
 5 rational lam required, 6 run ended without a terminal event.
 """
 
@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import yaml
 
+from . import checks
 from .blowup import (
     alpha_exponent,
     beta_rate,
@@ -43,8 +44,8 @@ from .blowup import (
 from .errors import AnalysisError, ConfigError, FlowError, TrajectoryError, VersionError
 from .geometry import PerturbationSpec, polyline_csv, radial_perturbation_curvature, reconstruct_curve, render_svg
 from .normalize import fit_exponential, normalized_series, rescale_state, tau_of_t
-from .rhs import rhs_convolution, rhs_direct, rhs_fast, rhs_split
-from .spectral import FlowParams, SpectralState, coeff_seminorm, default_grid_size, parse_lambda, synthesize
+from .rhs import rhs_convolution, rhs_direct, rhs_fast
+from .spectral import FlowParams, SpectralState, coeff_seminorm, default_grid_size, parse_lambda
 from .stepping import RunStats, StepControl, Trajectory, integrate
 
 FORMAT_VERSION = 1
@@ -390,6 +391,8 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
         raise VersionError(
             f"{path}: format version {header.get('version')} != supported {FORMAT_VERSION}"
         )
+    if not isinstance(header.get("config", {}), dict):
+        raise TrajectoryError(f"{path}: header config is not a mapping")
     try:
         ph = header["params"]
         rational = tuple(ph["rational"]) if ph.get("rational") else None
@@ -403,7 +406,7 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
                 traj.events = [(t, kind, detail) for t, kind, detail in rec["events"]]
                 traj.T_est = rec.get("T_est")
                 traj.stats = RunStats(**rec["run_stats"]) if rec.get("run_stats") else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TrajectoryError(f"{path}: malformed record ({type(exc).__name__}: {exc})") from exc
     return traj, header
 
@@ -472,7 +475,7 @@ def _analysis_from_header(header: dict) -> AnalysisConfig:
     return _parse_analysis(section) if section else AnalysisConfig()
 
 
-def _report_blowup(traj, header, cfg: AnalysisConfig) -> dict:
+def _report_blowup(traj, cfg: AnalysisConfig) -> dict:
     T_est, unc = estimate_T(traj)
     env = envelope_check(traj, T_est, window=cfg.envelope_window)
     return {
@@ -489,7 +492,7 @@ def _report_blowup(traj, header, cfg: AnalysisConfig) -> dict:
     }
 
 
-def _report_rates(traj, header, cfg: AnalysisConfig) -> dict:
+def _report_rates(traj, cfg: AnalysisConfig) -> dict:
     params = traj.params
     T_est, _ = estimate_T(traj)
     modes = []
@@ -519,7 +522,7 @@ def _report_rates(traj, header, cfg: AnalysisConfig) -> dict:
     return {"T_est": T_est, "modes": modes, "pass": overall}
 
 
-def _report_trap(traj, header, cfg: AnalysisConfig) -> dict:
+def _report_trap(traj, cfg: AnalysisConfig) -> dict:
     params = traj.params
     c = cfg.c_override if cfg.c_override is not None else select_c(params)
     cert = certify(traj, c)
@@ -538,7 +541,7 @@ def _report_trap(traj, header, cfg: AnalysisConfig) -> dict:
     }
 
 
-def _report_normalized(traj, header, cfg: AnalysisConfig) -> dict:
+def _report_normalized(traj, cfg: AnalysisConfig) -> dict:
     params = traj.params
     T_est, _ = estimate_T(traj)
     series = normalized_series(traj, T_est, cl_orders=(0, 1, 2))
@@ -586,7 +589,7 @@ def cmd_analyze(args) -> int:
         "normalized": _report_normalized,
     }
     report = {"what": args.what, "source": args.traj}
-    report.update(builders[args.what](traj, header, cfg))
+    report.update(builders[args.what](traj, cfg))
     text = json.dumps(report, indent=2)
     if args.out:
         with open(os.path.join(args.out, f"report_{args.what}.json"), "w") as fh:
@@ -652,87 +655,35 @@ def cmd_render(args) -> int:
 
 
 # ----------------------------------------------------------------------------
-# verify
+# verify: each entry picks sizes, seeds and a threshold; the checks are in
+# pcsflow.checks, and the trapping one is blowup.certify
 
 
-def _random_trapped_state(params: FlowParams, rng: np.random.Generator) -> SpectralState:
-    c0 = rng.uniform(0.5, 2.0)
-    c = np.zeros(params.n_max + 1, dtype=np.complex128)
-    c[0] = c0
-    cone = select_c(params)
-    for n in range(1, params.n_max + 1):
-        bound = c0 / (cone * n * n)
-        c[n] = complex(rng.uniform(-bound, bound), rng.uniform(-bound, bound))
-    return SpectralState(params, 0.0, c)
-
-
-def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
-    return float(np.max(np.abs(a - b))) / scale
+def _draws(seed: int, p_values, n_values, count: int) -> list[SpectralState]:
+    rng = np.random.default_rng(seed)
+    grid = [FlowParams(p=p, lam=2.0, n_max=n) for p in p_values for n in n_values for _ in range(count)]
+    return [checks.random_trapped_state(params, rng) for params in grid]
 
 
 def _verify_roundtrip(seed: int) -> tuple[bool, str]:
-    from .spectral import analyze_grid
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p in (1, 2, 3):
-        params = FlowParams(p=p, lam=2.0, n_max=8)
-        s = _random_trapped_state(params, rng)
-        s2 = analyze_grid(synthesize(s, 4 * params.n_max))
-        worst = max(worst, float(np.max(np.abs(s2.coeffs - s.coeffs))))
+    worst = max(checks.round_trip_defect(s, 32) for s in _draws(seed, (1, 2, 3), (8,), 1))
     return worst <= 1e-12, f"max round-trip error {worst:.2e}"
 
 
 def _verify_oracle(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for p in (1, 2, 3):
-        for n_max in (2, 4, 8):
-            params = FlowParams(p=p, lam=2.0, n_max=n_max)
-            for _ in range(20):
-                s = _random_trapped_state(params, rng)
-                d_direct = rhs_direct(s)
-                worst = max(worst, _rel_diff(d_direct, rhs_fast(s)))
-                worst = max(worst, _rel_diff(d_direct, rhs_convolution(s)))
+    worst = max(max(checks.oracle_defects(s)) for s in _draws(seed + 1, (1, 2, 3), (2, 4, 8), 20))
     return worst <= 1e-10, f"max relative disagreement {worst:.2e}"
 
 
 def _verify_split(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed + 2)
-    worst = 0.0
-    for p in (1, 2, 3):
-        params = FlowParams(p=p, lam=2.0, n_max=6)
-        s = _random_trapped_state(params, rng)
-        lam = params.lam
-        for n in range(params.n_max + 1):
-            single = 0.0
-            for pos in range(p + 2):
-                q1 = n if pos == 0 else 0
-                q2 = n if pos == 1 else 0
-                single += 1.0 / p - (p - 1) * lam**2 * q1 * q2 - lam**2 * q1**2
-            analytic = (p + 2) / p - lam**2 * n**2
-            worst = max(worst, abs(single - analytic) / abs(analytic))
-        split = rhs_split(s)
-        reassembled = split.linear_coeff * s.coeffs
-        reassembled[0] = split.zero_mode_linear
-        worst = max(worst, _rel_diff(reassembled + split.nonlinear, rhs_fast(s)))
+    worst = max(checks.split_defect(s) for s in _draws(seed + 2, (1, 2, 3), (6,), 1))
     return worst <= 1e-12, f"max identity defect {worst:.2e}"
 
 
 def _verify_constant(seed: int) -> tuple[bool, str]:
-    worst = 0.0
-    for p in (1, 2):
-        params = FlowParams(p=p, lam=2.0, n_max=2)
-        coeffs = np.zeros(3, dtype=np.complex128)
-        coeffs[0] = 1.0
-        traj = integrate(
-            SpectralState(params, 0.0, coeffs),
-            StepControl(rel_tol=1e-12, abs_tol=1e-16, k0_stop=1e4),
-        )
-        T_est, _ = estimate_T(traj)
-        T_exact = p / (p + 1)
-        worst = max(worst, abs(T_est - T_exact) / T_exact)
+    control = StepControl(rel_tol=1e-12, abs_tol=1e-16, k0_stop=1e4)
+    runs = (integrate(SpectralState(FlowParams(p=p, lam=2.0, n_max=2), 0.0, [1, 0, 0]), control) for p in (1, 2))
+    worst = max(checks.blowup_time_defect(traj) for traj in runs)
     return worst <= 1e-6, f"max relative T error {worst:.2e}"
 
 
@@ -759,7 +710,6 @@ VERIFY_CHECKS = (
 
 def cmd_verify(args) -> int:
     seed = args.seed
-    results = []
     workers = thread_count()
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -805,18 +755,15 @@ def bench_table(
     seed: int = 0,
     include_oracle: bool = True,
 ) -> list[dict]:
-    rng = np.random.default_rng(seed)
     rows = []
-    for p in p_values:
-        for n_max in n_values:
-            params = FlowParams(p=p, lam=2.0, n_max=n_max)
-            state = _random_trapped_state(params, rng)
-            row = {"p": p, "n_max": n_max}
-            row["fast_ns"] = _time_call(rhs_fast, state) * 1e9
-            row["convolution_ns"] = _time_call(rhs_convolution, state) * 1e9
-            if include_oracle and n_max <= 12 and p <= 3:
-                row["direct_ns"] = _time_call(rhs_direct, state) * 1e9
-            rows.append(row)
+    for state in _draws(seed, p_values, n_values, 1):
+        p, n_max = state.params.p, state.params.n_max
+        row = {"p": p, "n_max": n_max}
+        row["fast_ns"] = _time_call(rhs_fast, state) * 1e9
+        row["convolution_ns"] = _time_call(rhs_convolution, state) * 1e9
+        if include_oracle and n_max <= 12 and p <= 3:
+            row["direct_ns"] = _time_call(rhs_direct, state) * 1e9
+        rows.append(row)
     return rows
 
 

@@ -36,6 +36,7 @@ from .spectral import SpectralState
 
 __all__ = [
     "h_kernel",
+    "diagonal_rates",
     "pad_size",
     "RhsPlan",
     "rhs_direct",
@@ -56,6 +57,12 @@ def h_kernel(p: int, lam: float, q1, q2):
     q2 = np.asarray(q2, dtype=np.float64)
     out = 1.0 / p - (p - 1) * lam**2 * q1 * q2 - lam**2 * q1**2
     return out if out.ndim else float(out)
+
+
+def diagonal_rates(p: int, lam: float, n):
+    """Diagonal rate (p+2)/p - lam^2 n^2 of mode n (array friendly); the
+    integrator's constant rates, with 1/p on the zero mode instead."""
+    return (p + 2) / p - lam**2 * n**2
 
 
 def full_spectrum(state: SpectralState) -> np.ndarray:
@@ -191,7 +198,7 @@ class RhsSplit:
 def linear_coefficients(state: SpectralState) -> np.ndarray:
     p, lam = state.params.p, state.params.lam
     n = np.arange(state.params.n_max + 1, dtype=np.float64)
-    return ((p + 2) / p - lam**2 * n**2) * state.mean ** (p + 1)
+    return diagonal_rates(p, lam, n) * state.mean ** (p + 1)
 
 
 def rhs_split(state: SpectralState) -> RhsSplit:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationError, PositivityError
-from .rhs import RhsPlan, rhs_fast
+from .rhs import RhsPlan, diagonal_rates, rhs_fast
 from .spectral import SpectralState, coeff_seminorm
 
 __all__ = ["StepControl", "RunStats", "Trajectory", "step", "integrate", "integrate_normalized"]
@@ -308,7 +308,7 @@ def integrate(
     control = control or StepControl()
     p, lam, n_max = init.params.p, init.params.lam, init.params.n_max
     plan, n = RhsPlan(init.params), np.arange(1, n_max + 1)
-    rates = np.r_[1 / p, (p + 2) / p - lam**2 * n**2, 0.0]
+    rates = np.r_[1 / p, diagonal_rates(p, lam, n), 0.0]
 
     def rhs(y: np.ndarray):
         c = y[:-1]

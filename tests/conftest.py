@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcsflow.blowup import select_c
+from pcsflow.checks import random_trapped_state, rel_diff  # noqa: F401  (re-exported to the tests)
 from pcsflow.spectral import FlowParams, SpectralState
 
 
@@ -11,23 +11,6 @@ def make_state(params: FlowParams, entries: dict, t: float = 0.0) -> SpectralSta
     for n, value in entries.items():
         coeffs[n] = value
     return SpectralState(params, t, coeffs)
-
-
-def random_trapped_state(params: FlowParams, rng: np.random.Generator) -> SpectralState:
-    """Random state inside the trapping cone with mean in [0.5, 2]."""
-    c0 = rng.uniform(0.5, 2.0)
-    coeffs = np.zeros(params.n_max + 1, dtype=np.complex128)
-    coeffs[0] = c0
-    cone = select_c(params)
-    for n in range(1, params.n_max + 1):
-        bound = c0 / (cone * n * n)
-        coeffs[n] = complex(rng.uniform(-bound, bound), rng.uniform(-bound, bound))
-    return SpectralState(params, 0.0, coeffs)
-
-
-def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / scale
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from pcsflow.blowup import (
     select_c,
     trap_margin,
 )
+from pcsflow.checks import blowup_time_defect, exact_blowup_time, oracle_defects, split_defect
 from pcsflow.cli import bench_table, scaling_exponent
 from pcsflow.errors import AnalysisError
 from pcsflow.geometry import (
@@ -31,11 +32,10 @@ from pcsflow.geometry import (
     reconstruct_curve,
 )
 from pcsflow.normalize import fit_exponential, normalized_series, rescale_state, tau_of_t
-from pcsflow.rhs import h_kernel, rhs_direct, rhs_fast, rhs_split
 from pcsflow.spectral import FlowParams, SpectralState, synthesize
 from pcsflow.stepping import StepControl, integrate, integrate_normalized
 
-from conftest import make_state, random_trapped_state, rel_diff
+from conftest import make_state, random_trapped_state
 
 K0_STOP = {1: 1e6, 2: 1e4, 3: 1e3}  # deeper stops would sink below the t-resolution floor
 TIGHT = dict(rel_tol=1e-12, abs_tol=1e-16)
@@ -91,16 +91,15 @@ def constant_runs():
 def test_criterion_01_exact_blow_up(constant_runs):
     worst_T, worst_u = 0.0, 0.0
     for (p, a), traj in constant_runs.items():
-        T_exact = p / ((p + 1) * a ** (p + 1))
-        T_est, _ = estimate_T(traj)
-        worst_T = max(worst_T, abs(T_est - T_exact) / T_exact)
+        defect = blowup_time_defect(traj)
+        worst_T = max(worst_T, defect)
         # rescale where the check is well conditioned: integration error
         # amplifies as (k0/a)^{p+1}, so test just after one doubling
         snap = next(s for s in traj.snapshots if s.mean >= 2 * a)
-        u = rescale_state(snap, T_exact)
+        u = rescale_state(snap, exact_blowup_time(p, a))
         dev = float(np.max(np.abs(synthesize(u, 64).values - 1.0)))
         worst_u = max(worst_u, dev)
-        assert abs(T_est - T_exact) / T_exact <= 1e-6
+        assert defect <= 1e-6
         assert dev <= 1e-10
     announce(1, f"worst T_est rel err {worst_T:.2e} (tol 1e-6), worst |u-1| {worst_u:.2e} (tol 1e-10)")
 
@@ -111,8 +110,7 @@ def test_criterion_02_oracle_equivalence():
     for p, n_max in itertools.product((1, 2, 3), (2, 4, 8)):
         params = FlowParams(p=p, lam=2.0, n_max=n_max)
         for _ in range(200):
-            s = random_trapped_state(params, rng)
-            worst = max(worst, rel_diff(rhs_direct(s), rhs_fast(s)))
+            worst = max(worst, oracle_defects(random_trapped_state(params, rng))[0])
             assert worst <= 1e-10
     announce(2, f"200 states x 9 (p, n_max) combos, max relative disagreement {worst:.2e}")
 
@@ -121,21 +119,11 @@ def test_criterion_03_diagonal_split_identity():
     rng = np.random.default_rng(43)
     worst = 0.0
     for p, lam in ((1, 2.0), (2, 2.0), (3, 2.0), (1, 3.5)):
+        # the single-tuple placements against the integrator's diagonal rates,
+        # and the diagonal part plus the tuple part against the derivative
         params = FlowParams(p=p, lam=lam, n_max=8)
-        for n in range(params.n_max + 1):
-            placements = 0.0
-            for pos in range(p + 2):
-                placements += h_kernel(p, lam, n if pos == 0 else 0, n if pos == 1 else 0)
-            analytic = (p + 2) / p - lam**2 * n**2
-            worst = max(worst, abs(placements - analytic) / abs(analytic))
-        # and end to end on random data: the residual after removing the
-        # analytic linear part plus the tuple part reproduces the derivative
         for _ in range(25):
-            s = random_trapped_state(params, rng)
-            split = rhs_split(s)
-            applied = split.linear_coeff * s.coeffs
-            applied[0] = split.zero_mode_linear
-            worst = max(worst, rel_diff(applied + split.nonlinear, rhs_fast(s)))
+            worst = max(worst, split_defect(random_trapped_state(params, rng)))
     assert worst <= 1e-12
     announce(3, f"single-nonzero-tuple sum == diagonal coefficient, defect {worst:.2e}")
 

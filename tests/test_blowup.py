@@ -17,6 +17,7 @@ from pcsflow.blowup import (
     select_c,
     trap_margin,
 )
+from pcsflow.checks import blowup_time_defect, exact_blowup_time
 from pcsflow.errors import AnalysisError
 from pcsflow.spectral import FlowParams, SpectralState
 from pcsflow.stepping import StepControl, Trajectory, integrate
@@ -133,10 +134,8 @@ class TestEstimateT:
             make_state(params, {0: a}),
             StepControl(rel_tol=1e-12, abs_tol=1e-16, k0_stop=k0_stop),
         )
-        T_exact = p / ((p + 1) * a ** (p + 1))
-        T_est, unc = estimate_T(traj)
-        assert abs(T_est - T_exact) / T_exact < 1e-6
-        assert unc < 1e-6 * T_exact
+        assert blowup_time_defect(traj) < 1e-6
+        assert estimate_T(traj)[1] < 1e-6 * exact_blowup_time(p, a)
 
     def test_requires_deep_run(self):
         params = FlowParams(p=1, lam=2.0, n_max=2)

@@ -412,13 +412,16 @@ class TestAnalyze:
         code = cli.main(["analyze", "--traj", pert_run, "--what", "trap", "--out", str(blocker / "out")])
         assert_out_dir_error(code, capsys.readouterr())
 
-    def test_version_mismatch_exit_4(self, pert_run, tmp_path):
+    def with_header(self, pert_run, tmp_path, **fields):
         with open(pert_run) as fh:
             lines = fh.read().splitlines()
-        header = json.loads(lines[0])
-        header["version"] = 99
+        header = dict(json.loads(lines[0]), **fields)
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        return bad
+
+    def test_version_mismatch_exit_4(self, pert_run, tmp_path):
+        bad = self.with_header(pert_run, tmp_path, version=99)
         assert cli.main(["analyze", "--traj", str(bad), "--what", "trap"]) == cli.EXIT_VERSION
 
     def assert_unreadable(self, capsys, path, message):
@@ -437,6 +440,20 @@ class TestAnalyze:
         torn = tmp_path / "torn.jsonl"
         torn.write_text(text[: len(text) // 2])  # cut inside a snapshot record
         self.assert_unreadable(capsys, torn, "torn or invalid JSON")
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("config", None, "header config is not a mapping"),
+            ("config", ["analysis"], "header config is not a mapping"),
+            ("params", None, "malformed record"),
+            ("params", [1, 2], "malformed record"),
+        ],
+        ids=["config_null", "config_list", "params_null", "params_list"],
+    )
+    def test_malformed_header_exit_4(self, pert_run, tmp_path, capsys, field, value, message):
+        bad = self.with_header(pert_run, tmp_path, **{field: value})
+        self.assert_unreadable(capsys, bad, message)
 
 
 class TestTrajectoryIO:
@@ -607,6 +624,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL  oracle_equivalence" in out
 
+    def test_diagonal_rate_mutation_is_caught(self, capsys, monkeypatch):
+        # a wrong constant in the rates the integrator uses must break the split check
+        from pcsflow import rhs as rhs_module
+
+        monkeypatch.setattr(rhs_module, "diagonal_rates", lambda p, lam, n: (p + 1) / p - lam**2 * n**2)
+        assert cli.main(["verify", "--seed", "3"]) != 0
+        out = capsys.readouterr().out
+        assert "FAIL  diagonal_split" in out
+
 
 class TestVerifyThreads:
     def test_thread_pool_path(self, capsys, monkeypatch):
@@ -649,7 +675,7 @@ def test_import_leaves_scipy_unloaded():
     perturbed-circle initial state imports it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = (
-        "import sys, pcsflow, pcsflow.cli; "
+        "import sys, pcsflow, pcsflow.checks, pcsflow.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     env = dict(os.environ, PYTHONPATH=src)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from pcsflow.blowup import estimate_T, select_c, trap_margin
+from pcsflow.checks import blowup_time_defect, exact_blowup_time
 from pcsflow.errors import PositivityError
 from pcsflow.normalize import rescale_state
 from pcsflow.rhs import normalized_rhs
 from pcsflow.spectral import FlowParams, SpectralState, synthesize
 from pcsflow.stepping import StepControl, Trajectory, integrate, integrate_normalized, step
 
-from conftest import make_state, rel_diff
+from conftest import make_state
 
 P1 = FlowParams(p=1, lam=2.0, n_max=4)
 TIGHT = StepControl(rel_tol=1e-12, abs_tol=1e-16)
@@ -70,13 +71,11 @@ class TestIntegrateConstant:
             StepControl(rel_tol=1e-12, abs_tol=1e-16, k0_stop=k0_stop),
         )
         assert traj.has_event("blow_up_stop")
-        T_exact = p / ((p + 1) * a ** (p + 1))
-        T_est, unc = estimate_T(traj)
-        assert abs(T_est - T_exact) / T_exact < 1e-8
+        assert blowup_time_defect(traj) < 1e-8
         # stop lands within the predicted window of T
         t_end = traj.snapshots[-1].t
         k_end = traj.snapshots[-1].mean
-        assert abs(T_exact - t_end - (p / (p + 1)) * k_end ** -(p + 1)) < 1e-8
+        assert abs(exact_blowup_time(p, a) - t_end - (p / (p + 1)) * k_end ** -(p + 1)) < 1e-8
 
     def test_invariant_subspace(self):
         params = FlowParams(p=1, lam=2.0, n_max=2)

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcsflow.checks import oracle_defects, placement_defect, split_defect
 from pcsflow.errors import OversizeError, PositivityError
 from pcsflow.rhs import (
     RhsPlan,
@@ -10,12 +13,11 @@ from pcsflow.rhs import (
     linear_coefficients,
     normalized_rhs,
     pad_size,
-    rhs_convolution,
     rhs_direct,
     rhs_fast,
     rhs_split,
 )
-from pcsflow.spectral import FlowParams, SpectralState, synthesize
+from pcsflow.spectral import FlowParams, SpectralState, lambda_threshold, synthesize
 
 from conftest import make_state, random_trapped_state, rel_diff
 
@@ -72,16 +74,27 @@ class TestOracleEquivalence:
     def test_fast_and_convolution_match_direct(self, p, n_max, rng):
         params = FlowParams(p=p, lam=2.0, n_max=n_max)
         for _ in range(25):
-            s = random_trapped_state(params, rng)
-            d = rhs_direct(s)
-            assert rel_diff(d, rhs_fast(s)) < 1e-10
-            assert rel_diff(d, rhs_convolution(s)) < 1e-12
+            fast, convolution = oracle_defects(random_trapped_state(params, rng))
+            assert fast < 1e-10
+            assert convolution < 1e-12
 
     def test_rational_lambda_case(self, rng):
         params = FlowParams(p=1, lam=3.5, n_max=6, rational=(7, 2))
         for _ in range(10):
-            s = random_trapped_state(params, rng)
-            assert rel_diff(rhs_direct(s), rhs_fast(s)) < 1e-10
+            assert oracle_defects(random_trapped_state(params, rng))[0] < 1e-10
+
+    @settings(deadline=None, max_examples=12)
+    @given(
+        p=st.sampled_from((1, 2, 3)),
+        n_max=st.integers(9, 12),
+        margin=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_wide_band_property(self, p, n_max, margin, seed):
+        params = FlowParams(p=p, lam=lambda_threshold(p) + margin, n_max=n_max)
+        fast, convolution = oracle_defects(random_trapped_state(params, np.random.default_rng(seed)))
+        assert fast < 1e-10
+        assert convolution < 1e-12
 
     def test_mode2_quadratic_coupling_hand_enumeration(self):
         # state c0=1, c1=eps: the mode-2 derivative is the sum over ordered
@@ -144,14 +157,8 @@ class TestRhsSplit:
         # sum of H over the p+2 single-nonzero placements collapses to the
         # diagonal coefficient (p+2)/p - lam^2 n^2
         for p in (1, 2, 3):
-            lam = 2.0
             for n in range(0, 7):
-                acc = 0.0
-                for pos in range(p + 2):
-                    q1 = n if pos == 0 else 0
-                    q2 = n if pos == 1 else 0
-                    acc += h_kernel(p, lam, q1, q2)
-                assert acc == pytest.approx((p + 2) / p - lam**2 * n**2, rel=1e-12)
+                assert placement_defect(p, 2.0, n) <= 1e-12
 
     def test_constant_state_has_zero_nonlinear(self):
         params = FlowParams(p=2, lam=2.0, n_max=4)
@@ -161,11 +168,7 @@ class TestRhsSplit:
     def test_reassembly(self, rng):
         for p in (1, 2, 3):
             params = FlowParams(p=p, lam=2.0, n_max=8)
-            s = random_trapped_state(params, rng)
-            split = rhs_split(s)
-            applied = split.linear_coeff * s.coeffs
-            applied[0] = split.zero_mode_linear
-            assert rel_diff(applied + split.nonlinear, rhs_fast(s)) < 1e-12
+            assert split_defect(random_trapped_state(params, rng)) < 1e-12
 
     def test_nonlinear_zero_mode_is_real(self, rng):
         params = FlowParams(p=1, lam=2.0, n_max=8)
