@@ -6,8 +6,9 @@ nu in [0, 2*pi*m]; curvature k(nu) then determines the curve through
     P(nu) = P(0) + integral_0^nu (-sin s, cos s) / k(s) ds.
 
 Radial perturbations r(t) = 1 + delta*phi(t) of the m-fold unit circle are
-converted to curvature-vs-normal-angle data by evaluating the polar
-curvature and resampling it monotonically in nu.  For lam = n/m with n > 1
+converted to curvature-vs-normal-angle data by inverting the normal angle
+nu(theta) = theta - arctan(r'/r) with Newton's method on a uniform nu-grid
+and evaluating the polar curvature there.  For lam = n/m with n > 1
 coprime to m the reconstruction closes automatically (1/k has no frequency
 at the closure mode), so the closure residual measures quadrature error.
 """
@@ -116,43 +117,60 @@ def mfold_curvature(m: int, params: FlowParams) -> SpectralState:
     return SpectralState(params, 0.0, coeffs)
 
 
+# Newton steps allowed for inverting nu(theta): moderate deltas take 2-4,
+# m=2, n=7 at delta 0.0754 (convexity ends at 1/13.25 = 0.07547) takes 84.
+_NEWTON_STEPS = 100
+
+
+def _polar(spec: PerturbationSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(arctan(r'/r), nu'(theta), kappa(theta)) of the polar curve r(theta)."""
+    r, rp, rpp = spec.radius(theta), spec.radius(theta, 1), spec.radius(theta, 2)
+    q = r * r + rp * rp
+    slope = (r * r + 2 * rp * rp - r * rpp) / q
+    return np.arctan(rp / r), slope, slope / np.sqrt(q)
+
+
 def radial_perturbation_curvature(
     spec: PerturbationSpec, params: FlowParams, samples: int = 8192
 ) -> SpectralState:
     """Curvature-vs-normal-angle coefficients of the perturbed circle.
 
-    Evaluates the polar curvature kappa = (r^2 + 2 r'^2 - r r'') /
-    (r^2 + r'^2)^{3/2} and the normal angle nu = theta - arctan(r'/r) on a
-    dense parameter grid, then resamples kappa monotonically onto a uniform
-    nu-grid (convexity makes nu strictly increasing) and reads off the band.
+    With q = r^2 + r'^2, the polar curvature is kappa = (r^2 + 2 r'^2 - r r'')
+    / q^{3/2} and the normal angle nu = theta - arctan(r'/r) has nu' =
+    (r^2 + 2 r'^2 - r r'') / q, positive by convexity.  Newton's method from
+    theta = nu solves nu(theta) = nu_j on the uniform grid the band is read
+    from, and kappa is evaluated there in closed form.  ``samples`` points
+    over one period (r and kappa are periodic) back the radius and
+    curvature guards.
     """
     if abs(params.lam - spec.lam) > 1e-12 * max(1.0, params.lam):
         raise ValueError(f"params.lam={params.lam} does not match spec n/m={spec.lam}")
     period = params.period
-    # one period plus generous margins so the nu range safely covers [0, period]
-    th = np.linspace(-period - 2.0, period + 2.0, int(samples * (2 * period + 4) / period))
+    th = np.arange(samples) * (period / samples)
     r = spec.radius(th)
     if np.min(r) <= 0:
         raise ValueError(f"delta={spec.delta} too large: radius reaches {np.min(r):.3e}")
-    rp = spec.radius(th, 1)
-    rpp = spec.radius(th, 2)
-    denom = r * r + rp * rp
-    kappa = (r * r + 2 * rp * rp - r * rpp) / denom**1.5
+    kappa = _polar(spec, th)[2]
     if np.min(kappa) <= 0:
         bad = th[int(np.argmin(kappa))]
         raise ValueError(
             f"delta={spec.delta} too large: curvature {np.min(kappa):.3e} <= 0 near theta={bad:.4f}"
         )
-    nu = th - np.arctan(rp / r)
-    # Imported here: scipy costs every command about 0.5 s at start-up, and
-    # only perturbed-circle initial data needs it.
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(nu, kappa)
     m_grid = next_fast_len(max(8 * (2 * params.n_max + 1), 128))
     nu_grid = np.arange(m_grid) * (period / m_grid)
-    field = GridField(params, interp(nu_grid))
-    return analyze_grid(field)
+    theta, tol = nu_grid.copy(), 4 * np.finfo(float).eps * period
+    for _ in range(_NEWTON_STEPS):
+        offset, slope, _ = _polar(spec, theta)
+        step = (theta - offset - nu_grid) / slope
+        theta -= step
+        if np.max(np.abs(step)) <= tol:
+            break
+    else:
+        raise ValueError(
+            f"delta={spec.delta}: normal angle not inverted in {_NEWTON_STEPS} Newton steps "
+            f"(last step {np.max(np.abs(step)):.3e})"
+        )
+    return analyze_grid(GridField(params, _polar(spec, theta)[2]))
 
 
 def _evaluate_curvature(state: SpectralState, nu: np.ndarray) -> np.ndarray:

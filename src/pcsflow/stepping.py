@@ -177,6 +177,9 @@ def _controller_factor(err_norm: float, grow: float = 5.0, shrink: float = 0.2) 
 # the scaled error norm.
 _Trial = namedtuple("_Trial", "h y ks grid err")
 
+# Relative gap to a rung within which a landing step counts as on it.
+_LANDING_TOL = 1e-12
+
 
 class _Stepper:
     """The raw-array core: the point y = (c[0..n_max], clock slot), its FSAL
@@ -233,7 +236,7 @@ class _Stepper:
         c[0] is within 1e-12 of level (at most four redos, each a landing step)."""
         for _ in range(4):
             gap = level - trial.y[0].real
-            if abs(gap) <= 1e-12 * level:
+            if abs(gap) <= _LANDING_TOL * level:
                 break
             trial = self.attempt(trial.h + gap / (self.rates[0] * trial.y[0].real + trial.ks[6, 0].real))
             self.stats.landing += 1
@@ -291,7 +294,7 @@ def integrate(
     trap_c: float | None = None,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
-    """Integrate the mode system until c[0] >= k0_stop or a failure event.
+    """Integrate the mode system until c[0] reaches k0_stop or a failure event.
 
     The core runs on the clock ds = c[0]^{p+1} dt, where the diagonal part of
     the mode system has the constant rates L_n = (p+2)/p - lam^2 n^2 (L_0 =
@@ -370,9 +373,9 @@ def integrate(
     if trap_c is not None:
         core.stats.min_trap_margin = math.inf
         watch_trap()
-    reached = core.run(
-        traj, 0.01 * p, max_steps, lambda: core.y[0].real >= control.k0_stop, settle, clip
-    )
+    # a rung on k0_stop counts as reached when landed within tolerance below it
+    stop = control.k0_stop * (1.0 - _LANDING_TOL)
+    reached = core.run(traj, 0.01 * p, max_steps, lambda: core.y[0].real >= stop, settle, clip)
     if reached:
         traj.add_event(core.t, "blow_up_stop", f"k0={core.y[0].real:.6e}")
     if core.t > traj.snapshots[-1].t:

@@ -207,6 +207,47 @@ def config_paths(doc, prefix=()):
         yield from config_paths(value, prefix + (key,))
 
 
+@st.composite
+def round_trip_configs(draw):
+    """A parseable config of either init kind with arbitrary finite reals."""
+    finite = st.floats(-1e3, 1e3)
+    if draw(st.booleans()):
+        n, m = draw(st.sampled_from([(5, 2), (7, 2), (3, 1), (7, 3), (9, 4)]))
+        lam = f"{n}/{m}"
+        harmonics = [
+            {"j": j, "amplitude": draw(finite), "phase": draw(finite)}
+            for j in range(1, draw(st.integers(1, 3)) + 1)
+        ]
+        init = {"perturbation": {"m": m, "n": n, "delta": draw(finite), "harmonics": harmonics}}
+    else:
+        lam = draw(st.one_of(st.sampled_from(["7/2", "7/3"]), st.floats(2.0, 10.0)))
+        modes = range(1, draw(st.integers(0, 4)) + 1)
+        init = {
+            "mean": draw(st.floats(1e-3, 1e3)),
+            "harmonics": [{"n": n, "cos": draw(finite), "sin": draw(finite)} for n in modes],
+        }
+    return {
+        "params": {"p": draw(st.integers(1, 3)), "lambda": lam, "n_max": draw(st.integers(4, 64))},
+        "init": init,
+        "control": {
+            "rel_tol": draw(st.floats(1e-13, 1e-3)),
+            "k0_stop": draw(st.floats(2.0, 1e8)),
+            "snapshots_per_decade": draw(st.integers(1, 100)),
+        },
+        "analysis": {"c_override": draw(st.one_of(st.none(), st.floats(1.0, 1e3)))},
+        "output": {"directory": "out", "formats": ["jsonl"]},
+        "seed": draw(st.integers(0, 2**31)),
+    }
+
+
+@settings(deadline=None, max_examples=50)
+@given(doc=round_trip_configs())
+def test_emit_parse_round_trip(doc):
+    # emit_config, written as YAML and read back, parses to the same config
+    config = cli.parse_config(doc)
+    assert cli.parse_config(yaml.safe_load(yaml.safe_dump(cli.emit_config(config)))) == config
+
+
 @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=small_configs(), data=st.data())
 def test_generated_configs_never_trace_back(tmp_path_factory, doc, data):
@@ -671,8 +712,8 @@ class TestBench:
 
 
 def test_import_leaves_scipy_unloaded():
-    """The package and every subcommand start without scipy; only building a
-    perturbed-circle initial state imports it."""
+    """The package and every subcommand start without scipy; building a
+    perturbed-circle initial state does not import it either."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = (
         "import sys, pcsflow, pcsflow.checks, pcsflow.cli; "
@@ -683,6 +724,22 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_perturbed_simulate_leaves_scipy_unloaded(tmp_path):
+    """A fresh process that simulates from a perturbed-circle config never loads scipy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    doc = dict(PERT_CONFIG, output={"directory": str(tmp_path / "out")})
+    probe = (
+        "import sys; from pcsflow import cli; "
+        f"code = cli.main(['simulate', '--config', {write_config(tmp_path, doc)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.strip().splitlines()[-1] == "0 []"
 
 
 def test_module_entry_point_runs_cli():

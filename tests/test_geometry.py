@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pcsflow import geometry
 from pcsflow.blowup import check_hypothesis, select_c
 from pcsflow.geometry import (
     CurvePolyline,
@@ -54,7 +55,45 @@ class TestMfoldCurvature:
         assert hausdorff_to_circle(poly) < 1e-12
 
 
+def theta_quadrature_coefficients(spec, params, points=4096):
+    """Band coefficients by the change of variables nu = nu(theta): c_n =
+    (1/N) sum_k kappa nu' exp(-i lam n nu(theta_k)) on a uniform theta-grid,
+    spectrally accurate since the integrand is periodic in theta."""
+    th = np.arange(points) * (params.period / points)
+    r, rp, rpp = spec.radius(th), spec.radius(th, 1), spec.radius(th, 2)
+    q = r * r + rp * rp
+    nu_prime = (r * r + 2 * rp * rp - r * rpp) / q
+    kappa = nu_prime / np.sqrt(q)
+    nu = th - np.arctan(rp / r)
+    modes = np.arange(params.n_max + 1)
+    return (kappa * nu_prime) @ np.exp(-1j * params.lam * np.outer(nu, modes)) / points
+
+
 class TestRadialPerturbationCurvature:
+    @pytest.mark.parametrize("n,m", [(7, 2), (5, 2), (7, 3), (9, 4)])
+    @pytest.mark.parametrize(
+        "harmonics", [((1, 1.0, 0.0),), ((1, 0.8, 0.3), (2, 0.1, 1.1))], ids=["one", "two"]
+    )
+    @pytest.mark.parametrize("delta", [0.002, 0.03])
+    def test_against_theta_quadrature_oracle(self, n, m, harmonics, delta):
+        params = FlowParams(p=1, lam=n / m, n_max=8, rational=(n, m))
+        spec = PerturbationSpec(m=m, n=n, delta=delta, harmonics=harmonics)
+        s = radial_perturbation_curvature(spec, params)
+        assert np.max(np.abs(s.coeffs - theta_quadrature_coefficients(spec, params))) <= 1e-13
+
+    def test_builds_near_the_convexity_limit(self):
+        # m=2, n=7: the curvature at the radius minimum vanishes at delta =
+        # 1/(1 + 3.5^2) = 0.07547, where nu' does too
+        s = radial_perturbation_curvature(PerturbationSpec(m=2, n=7, delta=0.075), P72)
+        assert np.all(np.isfinite(s.coeffs)) and s.mean > 1.0
+        with pytest.raises(ValueError, match="too large"):
+            radial_perturbation_curvature(PerturbationSpec(m=2, n=7, delta=0.08), P72)
+
+    def test_newton_step_bound(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_NEWTON_STEPS", 1)
+        with pytest.raises(ValueError, match="not inverted in 1 Newton steps"):
+            radial_perturbation_curvature(PerturbationSpec(m=2, n=7, delta=0.03), P72)
+
     def test_delta_zero_is_exact_circle(self):
         spec = PerturbationSpec(m=2, n=7, delta=0.0)
         s = radial_perturbation_curvature(spec, P72)

@@ -226,6 +226,19 @@ class TestRungLanding:
         traj = cone_runs[0]
         assert step_calls(traj) <= 1.5 * (len(traj.snapshots) - 1)
 
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_rung_on_k0_stop_ends_the_run(self, seed):
+        # at n_max 8 these data land the 10^0.5 rung 1-3e-16 below it; within
+        # the landing tolerance that is k0_stop, and no further rung is taken
+        for n_max in (8, 32):
+            coeffs = np.zeros(n_max + 1, dtype=np.complex128)
+            coeffs[:9] = cone_state(seed).coeffs
+            init = SpectralState(FlowParams(p=1, lam=2.0, n_max=n_max), 0.0, coeffs)
+            traj = integrate(init, StepControl(k0_stop=10**0.5))
+            assert traj.has_event("blow_up_stop")
+            assert len(traj.snapshots) == 21
+            assert traj.k0[-1] == pytest.approx(10**0.5, rel=1e-12)
+
     def test_tight_tolerance_stays_cheap(self):
         # abs_tol is in units of the mean, so it never asks for less than the
         # FFT round-off (about eps k0) as the mean grows

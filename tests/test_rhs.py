@@ -260,3 +260,23 @@ class TestRhsPlan:
                 deriv, _ = plan(np.array(s.coeffs))
                 assert rel_diff(deriv, normalized_rhs(s)) < 1e-10
                 assert rel_diff(deriv, p * rhs_direct(s) - s.coeffs) < 1e-10
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        p=st.sampled_from((1, 2, 3)),
+        n_max=st.integers(1, 16),
+        margin=st.floats(0.01, 3.0),
+        scale=st.floats(0.25, 4.0),
+        shift=st.floats(0.0, 2 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scaling_and_translation_laws(self, p, n_max, margin, scale, shift, seed):
+        # rhs(a c) = a^{p+2} rhs(c), and shifting theta by alpha multiplies
+        # mode n by exp(i lam n alpha) on the input and on the derivative
+        params = FlowParams(p=p, lam=lambda_threshold(p) + margin, n_max=n_max)
+        plan = RhsPlan(params)
+        coeffs = np.array(random_trapped_state(params, np.random.default_rng(seed)).coeffs)
+        base = plan(coeffs)[0].copy()
+        assert rel_diff(plan(scale * coeffs)[0], scale ** (p + 2) * base) < 1e-12
+        phase = np.exp(1j * params.lam * np.arange(n_max + 1) * shift)
+        assert rel_diff(plan(coeffs * phase)[0], base * phase) < 1e-12
