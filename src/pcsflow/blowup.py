@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError
-from .spectral import FlowParams, SpectralState, seminorm, synthesize
+from .spectral import FlowParams, SpectralState, coeff_seminorm, seminorm, synthesize
 from .stepping import Trajectory
 
 __all__ = [
@@ -143,26 +143,24 @@ def fit_loglinear(x: np.ndarray, y: np.ndarray, trim_sigma: float = 3.0):
 
 def certify(traj: Trajectory, c: float) -> TrapCertificate:
     """Evaluate the trap margin at every snapshot and fit tail-decay rates."""
-    if not traj.snapshots:
+    coeffs = traj.coeffs
+    if not len(coeffs):
         raise AnalysisError("trajectory has no snapshots")
-    margins = [(s.t, trap_margin(s, c)) for s in traj.snapshots]
+    ts, k0 = traj.times, coeffs[:, 0].real
+    tails = coeff_seminorm(coeffs, 2.0)
+    margins = list(zip(ts.tolist(), (k0 - c * tails).tolist()))
 
     gamma_fit = None
-    ts = traj.times
-    tails = np.array([seminorm(s, 2.0) for s in traj.snapshots])
-    floor = 1e3 * _EPS * max(s.mean for s in traj.snapshots)
-    ok = tails > floor
+    ok = tails > 1e3 * _EPS * k0.max()
     if ok.sum() >= 8:
         slope, _, _, _ = fit_loglinear(ts[ok], tails[ok])
         gamma_fit = -slope
 
     mu_fit = None
-    last = traj.snapshots[-1]
-    mags = np.abs(last.coeffs[1:])
-    ns = np.arange(1, last.params.n_max + 1)
-    above = mags > 1e3 * _EPS * last.mean
+    mags = np.abs(coeffs[-1, 1:])
+    above = mags > 1e3 * _EPS * k0[-1]
     if above.sum() >= 3:
-        slope, _, _, _ = fit_loglinear(ns[above].astype(float), mags[above])
+        slope, _, _, _ = fit_loglinear(np.flatnonzero(above) + 1.0, mags[above])
         mu_fit = -slope
 
     return TrapCertificate(c=c, margins=margins, gamma_fit=gamma_fit, mu_fit=mu_fit)

@@ -12,7 +12,8 @@ bench      timing table for the direct vs fast mode-derivative paths
 
 Exit codes: 0 clean, 1 config/schema error or an analysis the trajectory
 cannot support (AnalysisError), 2 positivity loss, 3 trap violation,
-4 trajectory unreadable: missing, torn, malformed, or wrong format version,
+4 trajectory unreadable: missing, torn, malformed (no snapshot, no trailer
+last, a bad T_est), or wrong format version,
 5 rational lam required, 6 run ended without a terminal event.
 """
 
@@ -45,7 +46,7 @@ from .errors import AnalysisError, ConfigError, FlowError, TrajectoryError, Vers
 from .geometry import PerturbationSpec, polyline_csv, radial_perturbation_curvature, reconstruct_curve, render_svg
 from .normalize import fit_exponential, normalized_series, rescale_state, tau_of_t
 from .rhs import rhs_convolution, rhs_direct, rhs_fast
-from .spectral import FlowParams, SpectralState, coeff_seminorm, default_grid_size, parse_lambda
+from .spectral import FlowParams, SpectralState, coeff_seminorm, coeff_sup_deviation, default_grid_size, parse_lambda
 from .stepping import RunStats, StepControl, Trajectory, integrate
 
 FORMAT_VERSION = 1
@@ -375,8 +376,8 @@ def write_trajectory(path: str, traj: Trajectory, config_echo: dict):
 
 def read_trajectory(path: str) -> tuple[Trajectory, dict]:
     """Load a trajectory file.  A missing, unreadable, torn or malformed file
-    raises ``TrajectoryError``; a wrong format version its subtype
-    ``VersionError``."""
+    (no snapshot, no trailer last, a T_est neither null nor finite) raises
+    ``TrajectoryError``; a wrong format version its subtype ``VersionError``."""
     try:
         with open(path) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
@@ -404,10 +405,16 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
                 traj.append(SpectralState(params, rec["t"], coeffs))
             elif rec["kind"] == "trailer":
                 traj.events = [(t, kind, detail) for t, kind, detail in rec["events"]]
-                traj.T_est = rec.get("T_est")
+                T_est = traj.T_est = rec.get("T_est")
+                if T_est is not None and (type(T_est) not in (int, float) or not math.isfinite(T_est)):
+                    raise ValueError(f"T_est is {T_est!r}, not null or a finite number")
                 traj.stats = RunStats(**rec["run_stats"]) if rec.get("run_stats") else None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise TrajectoryError(f"{path}: malformed record ({type(exc).__name__}: {exc})") from exc
+    if not traj.snapshots:
+        raise TrajectoryError(f"{path}: no snapshot record")
+    if lines[-1]["kind"] != "trailer":
+        raise TrajectoryError(f"{path}: no trailer record at the end (cut short?)")
     return traj, header
 
 
@@ -417,13 +424,12 @@ def metrics_csv(traj: Trajectory, c: float) -> str:
     |k - k0| on the default grid: each column computed for all snapshots at
     once from their stacked coefficients, the table written by one %.17g format."""
     p = traj.params.p
-    coeffs = np.array([s.coeffs for s in traj.snapshots])
-    t, k0 = traj.times, coeffs[:, 0].real
+    t, coeffs = traj.times, traj.coeffs
+    k0 = coeffs[:, 0].real
     # Python's pow per row: numpy's SIMD power loop can differ from libm's in the last bit
     speed = np.array([k ** -(p + 1) if k > 0 else np.nan for k in k0.tolist()])
     s2 = coeff_seminorm(coeffs, 2.0)
-    m = default_grid_size(traj.params)
-    sup_dev = np.max(np.abs(np.fft.irfft(coeffs, n=m) * m - k0[:, None]), axis=-1)
+    sup_dev = coeff_sup_deviation(coeffs, default_grid_size(traj.params))
     table = np.column_stack([t, k0, t + (p / (p + 1)) * speed, k0 - c * s2, s2, sup_dev])
     rows = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())
     return "t,k0,T_est_running,trap_margin,seminorm2,sup_dev\n" + rows
@@ -609,37 +615,25 @@ def cmd_render(args) -> int:
         print("render requires a rational lambda tag (n/m); this trajectory has none", file=sys.stderr)
         return EXIT_RATIONAL
     m = params.rational[1]
-    n_frames = args.frames
-    snapshots = traj.snapshots
-
-    if args.normalized:
-        T_est = traj.T_est
-        if T_est is None:
+    snapshots, ts, T_est = traj.snapshots, traj.times, traj.T_est
+    if T_est is None:
+        try:
             T_est, _ = estimate_T(traj)
-        usable = [s for s in snapshots if s.t < T_est]
-        taus = np.array([tau_of_t(s.t, T_est, params.p) for s in usable])
-        targets = np.linspace(taus[0], taus[-1], n_frames)
-        picks = sorted({int(np.argmin(np.abs(taus - x))) for x in targets})
-        frames = [
-            (f"tau={taus[i]:.3f}", reconstruct_curve(rescale_state(usable[i], T_est), m))
-            for i in picks
-        ]
+        except AnalysisError:
+            if args.normalized:
+                raise
+    if args.normalized:
+        before = int(np.count_nonzero(ts < T_est))  # snapshot times increase: the first ones
+        if not before:
+            raise AnalysisError(f"no snapshot before the blow-up time T={T_est:.6g}")
+        axis = np.array([tau_of_t(t, T_est, params.p) for t in ts[:before].tolist()])
     else:
-        T_est = traj.T_est
-        if T_est is None:
-            try:
-                T_est, _ = estimate_T(traj)
-            except AnalysisError:
-                T_est = None
-        ts = np.array([s.t for s in snapshots])
-        if T_est is not None:
-            log_d = np.log10(np.maximum(T_est - ts, 1e-300))
-            targets = np.linspace(log_d[0], log_d[-1], n_frames)
-            picks = sorted({int(np.argmin(np.abs(log_d - x))) for x in targets})
-        else:
-            targets = np.linspace(ts[0], ts[-1], n_frames)
-            picks = sorted({int(np.argmin(np.abs(ts - x))) for x in targets})
-        frames = [(f"t={snapshots[i].t:.6f}", reconstruct_curve(snapshots[i], m)) for i in picks]
+        axis = ts if T_est is None else np.log10(np.maximum(T_est - ts, 1e-300))
+    targets = np.linspace(axis[0], axis[-1], args.frames)
+    picks = sorted({int(np.argmin(np.abs(axis - x))) for x in targets})
+    states = [rescale_state(snapshots[i], T_est) if args.normalized else snapshots[i] for i in picks]
+    label = "tau={:.3f}" if args.normalized else "t={:.6f}"
+    frames = [(label.format(s.t), reconstruct_curve(s, m)) for s in states]
 
     with open(os.path.join(out_dir, "curves.svg"), "w") as fh:
         fh.write(render_svg(frames))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .blowup import RateFit, fit_loglinear
 from .errors import AnalysisError
-from .spectral import SpectralState, cl_deviation_bound, synthesize
+from .spectral import SpectralState, coeff_cl_bound, coeff_sup_deviation, default_grid_size
 from .stepping import Trajectory
 
 __all__ = [
@@ -92,31 +92,23 @@ def normalized_series(
     optional C^l coefficient bounds, all in the normalized frame.
 
     With ``T`` given the trajectory is treated as an unnormalized blow-up run
-    and rescaled snapshot by snapshot; with ``T=None`` it must already be a
-    normalized-flow trajectory (t is tau).
+    and its snapshots before T are rescaled; with ``T=None`` it must already
+    be a normalized-flow trajectory (t is tau).
     """
-    taus, sup, mean_dev = [], [], []
-    cl = {l: [] for l in cl_orders}
-    for s in traj.snapshots:
-        if T is not None:
-            if s.t >= T:
-                continue
-            u = rescale_state(s, T)
-        else:
-            u = s
-        taus.append(u.t)
-        grid = synthesize(u).values
-        sup.append(float(np.max(np.abs(grid - u.mean))))
-        mean_dev.append(abs(u.mean - 1.0))
-        for l in cl_orders:
-            cl[l].append(cl_deviation_bound(u, l))
-    if not taus:
+    taus, u = traj.times, traj.coeffs
+    if T is not None:
+        p = traj.params.p
+        before = taus < T
+        ts = taus[before].tolist()
+        taus = np.array([tau_of_t(t, T, p) for t in ts])
+        u = u[before] * np.array([scale_factor(p, T, t) for t in ts])[:, None]
+    if not len(taus):
         raise AnalysisError("no snapshots below the blow-up time")
     return NormalizedSeries(
-        taus=np.array(taus),
-        sup_dev=np.array(sup),
-        mean_dev=np.array(mean_dev),
-        cl_dev={l: np.array(v) for l, v in cl.items()},
+        taus=taus,
+        sup_dev=coeff_sup_deviation(u, default_grid_size(traj.params)),
+        mean_dev=np.abs(u[:, 0].real - 1.0),
+        cl_dev={l: coeff_cl_bound(u, traj.params.lam, l) for l in cl_orders},
     )
 
 

@@ -32,6 +32,8 @@ __all__ = [
     "analyze_grid",
     "seminorm",
     "coeff_seminorm",
+    "coeff_sup_deviation",
+    "coeff_cl_bound",
     "cl_deviation_bound",
     "grid_derivative_sup",
 ]
@@ -187,31 +189,26 @@ def default_grid_size(params: FlowParams, factor: int = 4) -> int:
     return next_fast_len(max(factor * params.n_max, 2 * params.n_max + 1))
 
 
+def _require_grid(m: int, n_max: int, failure: str):
+    if m < 2 * n_max + 1:
+        raise GridTooSmallError(f"grid of {m} points {failure} modes up to {n_max}; need >= {2 * n_max + 1}")
+
+
 def synthesize(state: SpectralState, grid_points: int | None = None) -> GridField:
     """Evaluate the profile on a uniform grid of the stated size.
 
     Requires grid_points >= 2*n_max + 1 so no band content is lost.
     """
-    n_max = state.params.n_max
     m = default_grid_size(state.params) if grid_points is None else int(grid_points)
-    if m < 2 * n_max + 1:
-        raise GridTooSmallError(
-            f"grid of {m} points cannot resolve modes up to {n_max}; need >= {2 * n_max + 1}"
-        )
-    half = np.zeros(m // 2 + 1, dtype=np.complex128)
-    half[: n_max + 1] = state.coeffs
-    values = irfft(half, n=m) * m
-    return GridField(state.params, values, t=state.t)
+    _require_grid(m, state.params.n_max, "cannot resolve")
+    return GridField(state.params, irfft(state.coeffs, n=m) * m, t=state.t)
 
 
 def analyze_grid(field: GridField) -> SpectralState:
     """Coefficients of the trigonometric interpolant, truncated to the band."""
     n_max = field.params.n_max
     m = field.grid_points
-    if m < 2 * n_max + 1:
-        raise GridTooSmallError(
-            f"grid of {m} points underdetermines modes up to {n_max}; need >= {2 * n_max + 1}"
-        )
+    _require_grid(m, n_max, "underdetermines")
     values = np.asarray(field.values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("grid samples contain non-finite values")
@@ -233,15 +230,25 @@ def coeff_seminorm(coeffs: np.ndarray, beta: float) -> np.ndarray:
     return np.max(weighted, axis=-1, initial=0.0)
 
 
-def cl_deviation_bound(state: SpectralState, l: int) -> float:
-    """Coefficient bound 2*sum (lam*n)^l |c[n]| on the C^l size of k - mean(k)."""
+def coeff_sup_deviation(coeffs: np.ndarray, grid_points: int) -> np.ndarray:
+    """Sup deviation from the mean, max |k - c[0]| on a grid of at least
+    2*n_max + 1 points, of bare half spectra c[..., 0..n_max]."""
+    _require_grid(grid_points, coeffs.shape[-1] - 1, "cannot resolve")
+    return np.max(np.abs(irfft(coeffs, n=grid_points) * grid_points - coeffs[..., :1].real), axis=-1)
+
+
+def coeff_cl_bound(coeffs: np.ndarray, lam: float, l: int) -> np.ndarray:
+    """``cl_deviation_bound`` of bare half spectra c[..., 0..n_max]."""
     if l < 0:
         raise ValueError("derivative order must be nonnegative")
-    c = state.coeffs[1:]
-    if c.size == 0:
-        return 0.0
-    n = np.arange(1, state.params.n_max + 1, dtype=np.float64)
-    return float(2.0 * np.sum((state.params.lam * n) ** l * np.abs(c)))
+    c = coeffs[..., 1:]
+    n = np.arange(1, c.shape[-1] + 1, dtype=np.float64)
+    return 2.0 * np.sum((lam * n) ** l * np.abs(c), axis=-1)
+
+
+def cl_deviation_bound(state: SpectralState, l: int) -> float:
+    """Coefficient bound 2*sum (lam*n)^l |c[n]| on the C^l size of k - mean(k)."""
+    return float(coeff_cl_bound(state.coeffs, state.params.lam, l))
 
 
 def grid_derivative_sup(state: SpectralState, l: int, grid_points: int | None = None) -> float:
@@ -251,6 +258,5 @@ def grid_derivative_sup(state: SpectralState, l: int, grid_points: int | None = 
     n = np.arange(state.params.n_max + 1, dtype=np.float64)
     dcoeffs = state.coeffs * (1j * state.params.lam * n) ** l
     dcoeffs[0] = 0.0
-    deviation = SpectralState(state.params, state.t, dcoeffs)
     m = grid_points if grid_points is not None else default_grid_size(state.params, factor=8)
-    return float(np.max(np.abs(synthesize(deviation, m).values)))
+    return float(coeff_sup_deviation(dcoeffs, m))

@@ -141,11 +141,16 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
     @property
+    def coeffs(self) -> np.ndarray:
+        """The snapshots' half spectra stacked by row, shape (N, n_max + 1)."""
+        return np.array([s.coeffs for s in self.snapshots], np.complex128).reshape(-1, self.params.n_max + 1)
+
+    @property
     def k0(self) -> np.ndarray:
-        return np.array([s.mean for s in self.snapshots])
+        return self.coeffs[:, 0].real
 
     def mode(self, n: int) -> np.ndarray:
-        return np.array([s.coeffs[n] for s in self.snapshots])
+        return self.coeffs[:, n]
 
 
 def step(

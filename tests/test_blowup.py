@@ -227,6 +227,12 @@ class TestCertify:
         assert cert.min_margin == pytest.approx(0.36, abs=1e-6)
         assert cert.gamma_fit is not None and cert.gamma_fit > 0
 
+    def test_margins_match_trap_margin_per_snapshot(self, perturbed_run):
+        # certify works on the stacked coefficients; trap_margin is the
+        # per-snapshot reference, bit for bit
+        cert = certify(perturbed_run, 256.0)
+        assert cert.margins == [(s.t, trap_margin(s, 256.0)) for s in perturbed_run.snapshots]
+
     def test_scaled_violation_reported(self, perturbed_run):
         # artificially inflate the tail of one snapshot beyond the cone
         bad = perturbed_run.snapshots[0]

@@ -412,6 +412,17 @@ def pert_run(tmp_path_factory):
     return traj_path
 
 
+def edited_trajectory(pert_run, tmp_path, keep=None, **trailer):
+    """A copy of the trajectory file with the records ``keep`` picks (all by
+    default) and the given trailer fields replaced."""
+    with open(pert_run) as fh:
+        lines = fh.read().splitlines()
+    lines[-1] = json.dumps(dict(json.loads(lines[-1]), **trailer))
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(keep(lines) if keep else lines) + "\n")
+    return path
+
+
 class TestAnalyze:
     def test_blowup_report(self, pert_run, capsys):
         assert cli.main(["analyze", "--traj", pert_run, "--what", "blowup"]) == 0
@@ -465,8 +476,8 @@ class TestAnalyze:
         bad = self.with_header(pert_run, tmp_path, version=99)
         assert cli.main(["analyze", "--traj", str(bad), "--what", "trap"]) == cli.EXIT_VERSION
 
-    def assert_unreadable(self, capsys, path, message):
-        code = cli.main(["analyze", "--traj", str(path), "--what", "trap"])
+    def assert_unreadable(self, capsys, path, message, command=("analyze", "--what", "trap")):
+        code = cli.main([command[0], "--traj", str(path), *command[1:]])
         err = capsys.readouterr().err
         assert code == cli.EXIT_VERSION
         assert err.startswith("trajectory error:") and err.count("\n") == 1
@@ -495,6 +506,28 @@ class TestAnalyze:
     def test_malformed_header_exit_4(self, pert_run, tmp_path, capsys, field, value, message):
         bad = self.with_header(pert_run, tmp_path, **{field: value})
         self.assert_unreadable(capsys, bad, message)
+
+    @pytest.fixture(params=["analyze", "render"])
+    def command(self, request, tmp_path):
+        if request.param == "analyze":
+            return ("analyze", "--what", "trap")
+        return ("render", "--normalized", "--out", str(tmp_path / "frames"))
+
+    @pytest.mark.parametrize(
+        "keep,message",
+        [(lambda lines: lines[:50], "no trailer record"), (lambda lines: lines[:1] + lines[-1:], "no snapshot record")],
+        ids=["cut_after_line_50", "header_and_trailer_only"],
+    )
+    def test_incomplete_trajectory_exit_4(self, pert_run, tmp_path, capsys, command, keep, message):
+        self.assert_unreadable(capsys, edited_trajectory(pert_run, tmp_path, keep), message, command)
+
+    @pytest.mark.parametrize(
+        "T_est",
+        ["x", [1], True, float("nan"), float("inf"), 10**400],
+        ids=["text", "list", "bool", "nan", "inf", "huge_int"],
+    )
+    def test_bad_T_est_exit_4(self, pert_run, tmp_path, capsys, command, T_est):
+        self.assert_unreadable(capsys, edited_trajectory(pert_run, tmp_path, T_est=T_est), "malformed record", command)
 
 
 class TestTrajectoryIO:
@@ -635,6 +668,15 @@ class TestRender:
         blocker.write_text("")
         code = cli.main(["render", "--traj", pert_run, "--frames", "2", "--out", str(blocker / "out")])
         assert_out_dir_error(code, capsys.readouterr())
+
+    @pytest.mark.parametrize("T_est", [0, -1])
+    def test_normalized_without_snapshot_before_T_exit_1(self, pert_run, tmp_path, capsys, T_est):
+        path = edited_trajectory(pert_run, tmp_path, T_est=T_est)
+        code = cli.main(["render", "--traj", str(path), "--normalized", "--out", str(tmp_path / "frames")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: no snapshot before the blow-up time") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_non_rational_lambda_exit_5(self, tmp_path, capsys):
         code, traj_path = run_simulation(tmp_path, CONST_CONFIG)  # lam=2.0 untagged

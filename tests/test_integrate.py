@@ -440,3 +440,18 @@ class TestTrajectory:
         traj.append(make_state(P1, {0: 1.0}, t=0.0))
         with pytest.raises(ValueError):
             traj.append(make_state(P1, {0: 1.0}, t=0.0))
+
+    def test_stacked_views_match_snapshots(self):
+        traj = integrate(make_state(P1, {0: 1.0, 1: 0.002 + 0.001j}), StepControl(k0_stop=100.0))
+        coeffs = traj.coeffs
+        assert coeffs.shape == (len(traj.snapshots), P1.n_max + 1)
+        assert np.array_equal(coeffs, [s.coeffs for s in traj.snapshots])
+        assert traj.k0.tolist() == [s.mean for s in traj.snapshots]
+        assert traj.mode(1).tolist() == [s.coeffs[1] for s in traj.snapshots]
+
+    def test_empty_trajectory_views(self):
+        traj = Trajectory(params=P1)
+        assert traj.coeffs.shape == (0, P1.n_max + 1) and traj.coeffs.dtype == np.complex128
+        assert traj.k0.shape == (0,) and traj.k0.dtype == np.float64
+        assert traj.mode(1).shape == (0,)
+        assert traj.times.shape == (0,)

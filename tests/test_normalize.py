@@ -13,7 +13,7 @@ from pcsflow.normalize import (
     tau_of_t,
     unrescale_state,
 )
-from pcsflow.spectral import FlowParams, SpectralState
+from pcsflow.spectral import FlowParams, SpectralState, synthesize
 from pcsflow.stepping import StepControl, Trajectory, integrate
 
 from conftest import make_state
@@ -117,6 +117,47 @@ class TestNormalizedSeries:
         assert set(series.cl_dev) == {0, 2}
         # C^0 bound is 2|c1| * factor; C^2 bound multiplies by (lam n)^2 = 4
         assert np.allclose(series.cl_dev[2], 4.0 * series.cl_dev[0])
+
+
+def reference_series(traj, T, cl_orders):
+    """The per-snapshot loop that ``normalized_series`` replaced: the bit reference."""
+    rows = []
+    for s in traj.snapshots:
+        if T is not None and s.t >= T:
+            continue
+        u = s if T is None else rescale_state(s, T)
+        n = np.arange(1, u.params.n_max + 1, dtype=np.float64)
+        cl = [float(2.0 * np.sum((u.params.lam * n) ** l * np.abs(u.coeffs[1:]))) for l in cl_orders]
+        rows.append([u.t, float(np.max(np.abs(synthesize(u).values - u.mean))), abs(u.mean - 1.0), *cl])
+    return np.array(rows).T
+
+
+class TestNormalizedSeriesAgainstReference:
+    @pytest.fixture(scope="class")
+    def run(self):
+        init = make_state(P18, {0: 1.0, 1: 0.0025 - 0.001j, 2: 0.0004j, 5: -0.0001})
+        return integrate(init, StepControl(k0_stop=1e4), trap_c=256.0)
+
+    @pytest.mark.parametrize("T", [None, "estimate", "mid_run"])
+    def test_bit_for_bit(self, run, T):
+        from pcsflow.blowup import estimate_T
+
+        if T == "estimate":
+            T, _ = estimate_T(run)
+        elif T == "mid_run":
+            T = float(run.times[len(run.snapshots) // 2])  # drops the later half
+        series = normalized_series(run, T, cl_orders=(0, 1, 2))
+        taus, sup, mean_dev, *cl = reference_series(run, T, (0, 1, 2))
+        assert len(series.taus) == (len(run.snapshots) if T is None else np.count_nonzero(run.times < T))
+        assert series.taus.tolist() == taus.tolist()
+        assert series.sup_dev.tolist() == sup.tolist()
+        assert series.mean_dev.tolist() == mean_dev.tolist()
+        for l in (0, 1, 2):
+            assert series.cl_dev[l].tolist() == cl[l].tolist()
+
+    def test_no_snapshot_before_T_raises(self, run):
+        with pytest.raises(AnalysisError, match="no snapshots below the blow-up time"):
+            normalized_series(run, 0.0)
 
 
 class TestFitExponential:

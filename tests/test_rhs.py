@@ -271,8 +271,9 @@ class TestRhsPlan:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_scaling_and_translation_laws(self, p, n_max, margin, scale, shift, seed):
-        # rhs(a c) = a^{p+2} rhs(c), and shifting theta by alpha multiplies
-        # mode n by exp(i lam n alpha) on the input and on the derivative
+        # rhs(a c) = a^{p+2} rhs(c); shifting theta by alpha multiplies mode n
+        # by exp(i lam n alpha) on the input and on the derivative; reflecting
+        # theta conjugates both (the Hermitian law)
         params = FlowParams(p=p, lam=lambda_threshold(p) + margin, n_max=n_max)
         plan = RhsPlan(params)
         coeffs = np.array(random_trapped_state(params, np.random.default_rng(seed)).coeffs)
@@ -280,3 +281,4 @@ class TestRhsPlan:
         assert rel_diff(plan(scale * coeffs)[0], scale ** (p + 2) * base) < 1e-12
         phase = np.exp(1j * params.lam * np.arange(n_max + 1) * shift)
         assert rel_diff(plan(coeffs * phase)[0], base * phase) < 1e-12
+        assert rel_diff(plan(coeffs.conj())[0], base.conj()) < 1e-12

@@ -12,6 +12,7 @@ from pcsflow.spectral import (
     analyze_grid,
     cl_deviation_bound,
     coeff_seminorm,
+    coeff_sup_deviation,
     grid_derivative_sup,
     lambda_threshold,
     next_fast_len,
@@ -88,8 +89,14 @@ class TestSynthesize:
         assert np.max(np.abs(field.values - expected)) < 1e-14
 
     def test_grid_too_small(self):
-        with pytest.raises(GridTooSmallError):
-            synthesize(make_state(P14, {0: 1.0}), 8)
+        s = make_state(P14, {0: 1.0})
+        for call in (
+            lambda: synthesize(s, 8),
+            lambda: coeff_sup_deviation(np.stack([s.coeffs, s.coeffs]), 8),
+            lambda: grid_derivative_sup(s, 1, 8),
+        ):
+            with pytest.raises(GridTooSmallError, match="grid of 8 points cannot resolve modes up to 4"):
+                call()
 
     def test_round_trip_random(self, rng):
         for p in (1, 2, 3):
