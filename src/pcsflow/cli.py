@@ -376,7 +376,8 @@ def write_trajectory(path: str, traj: Trajectory, config_echo: dict):
 
 def read_trajectory(path: str) -> tuple[Trajectory, dict]:
     """Load a trajectory file.  A missing, unreadable, torn or malformed file
-    (no snapshot, no trailer last, a T_est neither null nor finite) raises
+    (no snapshot, snapshot coeffs that are not n_max + 1 [re, im] number
+    pairs, no trailer last, a T_est neither null nor finite) raises
     ``TrajectoryError``; a wrong format version its subtype ``VersionError``."""
     try:
         with open(path) as fh:
@@ -399,16 +400,28 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
         rational = tuple(ph["rational"]) if ph.get("rational") else None
         params = FlowParams(p=ph["p"], lam=ph["lambda"], n_max=ph["n_max"], rational=rational)
         traj = Trajectory(params=params)
+        snapshots = []
         for rec in lines[1:]:
             if rec["kind"] == "snapshot":
-                coeffs = np.array([complex(re, im) for re, im in rec["coeffs"]])
-                traj.append(SpectralState(params, rec["t"], coeffs))
+                snapshots.append(rec)
             elif rec["kind"] == "trailer":
                 traj.events = [(t, kind, detail) for t, kind, detail in rec["events"]]
                 T_est = traj.T_est = rec.get("T_est")
                 if T_est is not None and (type(T_est) not in (int, float) or not math.isfinite(T_est)):
                     raise ValueError(f"T_est is {T_est!r}, not null or a finite number")
                 traj.stats = RunStats(**rec["run_stats"]) if rec.get("run_stats") else None
+        if snapshots:
+            # every [re, im] pair of every snapshot in one conversion: bool, int
+            # and float entries pass; text, null and ints outside int64/uint64 do not
+            pairs = np.array([rec["coeffs"] for rec in snapshots])
+            if pairs.dtype.kind not in "biuf" or pairs.shape != (len(snapshots), params.n_max + 1, 2):
+                raise ValueError(
+                    f"snapshot coeffs must be {params.n_max + 1} [re, im] number pairs, "
+                    f"got a {pairs.dtype} array of shape {pairs.shape}"
+                )
+            coeffs = pairs.astype(np.float64).view(np.complex128)[..., 0]
+            for rec, row in zip(snapshots, coeffs):
+                traj.append(SpectralState(params, rec["t"], row))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise TrajectoryError(f"{path}: malformed record ({type(exc).__name__}: {exc})") from exc
     if not traj.snapshots:
@@ -629,8 +642,11 @@ def cmd_render(args) -> int:
         axis = np.array([tau_of_t(t, T_est, params.p) for t in ts[:before].tolist()])
     else:
         axis = ts if T_est is None else np.log10(np.maximum(T_est - ts, 1e-300))
-    targets = np.linspace(axis[0], axis[-1], args.frames)
-    picks = sorted({int(np.argmin(np.abs(axis - x))) for x in targets})
+    if args.frames >= len(axis):  # as many frames as candidates: every one of them
+        picks = range(len(axis))
+    else:
+        targets = np.linspace(axis[0], axis[-1], args.frames)
+        picks = sorted({int(np.argmin(np.abs(axis - x))) for x in targets})
     states = [rescale_state(snapshots[i], T_est) if args.normalized else snapshots[i] for i in picks]
     label = "tau={:.3f}" if args.normalized else "t={:.6f}"
     frames = [(label.format(s.t), reconstruct_curve(s, m)) for s in states]

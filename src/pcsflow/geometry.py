@@ -15,6 +15,7 @@ at the closure mode), so the closure residual measures quadrature error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -173,11 +174,16 @@ def radial_perturbation_curvature(
     return analyze_grid(GridField(params, _polar(spec, theta)[2]))
 
 
-def _evaluate_curvature(state: SpectralState, nu: np.ndarray) -> np.ndarray:
-    lam = state.params.lam
-    n = np.arange(1, state.params.n_max + 1)
-    phases = np.exp(1j * lam * np.outer(nu, n))
-    return state.mean + 2.0 * np.real(phases @ state.coeffs[1:])
+@functools.lru_cache(maxsize=1)
+def _frame_grid(lam: float, n_max: int, m: int, samples_per_turn: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (nu, phase table exp(i lam n nu), tangent (-sin nu, cos nu))
+    of one frame size: the same for every frame of a render."""
+    nu = np.linspace(0.0, 2.0 * math.pi * m, samples_per_turn * m + 1)
+    phases = np.exp(1j * lam * np.outer(nu, np.arange(1, n_max + 1)))
+    tangent = np.stack([-np.sin(nu), np.cos(nu)], axis=1)
+    for table in (nu, phases, tangent):
+        table.setflags(write=False)
+    return nu, phases, tangent
 
 
 def reconstruct_curve(
@@ -188,7 +194,9 @@ def reconstruct_curve(
     Produces samples_per_turn * m + 1 points over nu in [0, 2*pi*m]
     (cumulative trapezoid; spectrally accurate over full periods), centered
     so the curve centroid is the origin.  The final point is the closure
-    repeat; its gap to the start is the closure residual.
+    repeat; its gap to the start is the closure residual.  The nu grid, the
+    phase table and the tangent field are built once per (lam, n_max, m,
+    samples_per_turn) and reused by the next call with the same sizes.
     """
     if m is None:
         if state.params.rational is None:
@@ -196,13 +204,11 @@ def reconstruct_curve(
         m = state.params.rational[1]
     if samples_per_turn < 64:
         raise ValueError("need at least 64 samples per turn")
-    total = samples_per_turn * m
-    nu = np.linspace(0.0, 2.0 * math.pi * m, total + 1)
-    k = _evaluate_curvature(state, nu)
+    nu, phases, tangent = _frame_grid(state.params.lam, state.params.n_max, m, samples_per_turn)
+    k = state.mean + 2.0 * np.real(phases @ state.coeffs[1:])
     if np.min(k) <= 0:
         raise ValueError(f"curvature must be positive to reconstruct; min {np.min(k):.3e}")
     ds = 1.0 / k
-    tangent = np.stack([-np.sin(nu), np.cos(nu)], axis=1)
     integrand = tangent * ds[:, None]
     h = nu[1] - nu[0]
     increments = 0.5 * h * (integrand[1:] + integrand[:-1])
@@ -273,10 +279,18 @@ def render_svg(
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=1)
+def _csv_rows(winding: int, total: int) -> str:
+    """Row template of a point table: each row's nu written once, x and y
+    left as %.12g fields."""
+    nus = np.linspace(0.0, 2.0 * math.pi * winding, total + 1)
+    return "%.12g,%%.12g,%%.12g\n" * (total + 1) % tuple(nus.tolist())
+
+
 def polyline_csv(poly: CurvePolyline) -> str:
     """Point table with header nu,x,y; one row per sample incl. the closure
-    repeat, the whole table written by one %.12g format over the flat rows."""
-    total = len(poly.points) - 1
-    nus = np.linspace(0.0, 2.0 * math.pi * poly.winding, total + 1)
-    table = np.column_stack([nus, poly.points])
-    return "nu,x,y\n" + ("%.12g,%.12g,%.12g\n" * len(table)) % tuple(table.ravel().tolist())
+    repeat, every value written by %.12g.  The nu column depends only on the
+    winding and the point count, so its text is formatted once per size and
+    each table is one format over the flat (x, y) values."""
+    rows = _csv_rows(poly.winding, len(poly.points) - 1)
+    return "nu,x,y\n" + rows % tuple(poly.points.ravel().tolist())

@@ -126,9 +126,10 @@ class SpectralState:
                 f"coeffs must have shape ({self.params.n_max + 1},), got {c.shape}"
             )
         c0 = c[0]
-        scale = max(abs(c0), float(np.max(np.abs(c))), 1e-300)
-        if abs(c0.imag) > 1e-12 * scale:
-            raise ValueError(f"zero mode must be real, got imaginary part {c0.imag!r}")
+        if c0.imag:  # a zero imaginary part passes against any scale
+            scale = max(abs(c0), float(np.max(np.abs(c))), 1e-300)
+            if abs(c0.imag) > 1e-12 * scale:
+                raise ValueError(f"zero mode must be real, got imaginary part {c0.imag!r}")
         c[0] = c0.real
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)

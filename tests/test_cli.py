@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from pcsflow import cli
 from pcsflow.blowup import trap_margin
 from pcsflow.errors import ConfigError, VersionError
+from pcsflow.geometry import polyline_csv, reconstruct_curve, render_svg
+from pcsflow.normalize import rescale_state, tau_of_t
 from pcsflow.spectral import FlowParams, SpectralState, seminorm, synthesize
 from pcsflow.stepping import RunStats, StepControl, Trajectory, integrate
 
@@ -423,6 +425,19 @@ def edited_trajectory(pert_run, tmp_path, keep=None, **trailer):
     return path
 
 
+def edited_snapshot(pert_run, tmp_path, edit, index=3):
+    """A copy of the trajectory file whose record ``index`` (a snapshot) is
+    changed in place by ``edit``."""
+    with open(pert_run) as fh:
+        lines = fh.read().splitlines()
+    rec = json.loads(lines[index])
+    edit(rec)
+    lines[index] = json.dumps(rec)
+    path = tmp_path / "edited_snapshot.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestAnalyze:
     def test_blowup_report(self, pert_run, capsys):
         assert cli.main(["analyze", "--traj", pert_run, "--what", "blowup"]) == 0
@@ -528,6 +543,29 @@ class TestAnalyze:
     )
     def test_bad_T_est_exit_4(self, pert_run, tmp_path, capsys, command, T_est):
         self.assert_unreadable(capsys, edited_trajectory(pert_run, tmp_path, T_est=T_est), "malformed record", command)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rec: rec["coeffs"][2].__setitem__(0, "0.5"),
+            lambda rec: rec["coeffs"][2].__setitem__(1, None),
+            lambda rec: rec["coeffs"][2].__setitem__(0, 10**400),
+            lambda rec: rec["coeffs"][2].pop(),
+            lambda rec: rec["coeffs"].pop(),
+            lambda rec: rec["coeffs"][0].__setitem__(1, 0.5),
+            lambda rec: rec.__setitem__("t", -1.0),
+        ],
+        ids=["text", "null", "huge_int", "short_pair", "ragged_snapshot", "non_real_mean", "t_not_increasing"],
+    )
+    def test_malformed_snapshot_exit_4(self, pert_run, tmp_path, capsys, command, edit):
+        self.assert_unreadable(capsys, edited_snapshot(pert_run, tmp_path, edit), "malformed record", command)
+
+    def test_bool_coefficient_entry_is_read(self, pert_run, tmp_path, capsys):
+        path = edited_snapshot(pert_run, tmp_path, lambda rec: rec["coeffs"][0].__setitem__(1, False))
+        assert "false" in path.read_text()
+        assert cli.read_trajectory(str(path))[0].coeffs.tolist() == cli.read_trajectory(pert_run)[0].coeffs.tolist()
+        assert cli.main(["analyze", "--traj", str(path), "--what", "trap"]) == 0
+        capsys.readouterr()
 
 
 class TestTrajectoryIO:
@@ -677,6 +715,57 @@ class TestRender:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("error: no snapshot before the blow-up time") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @staticmethod
+    def frame_axis(traj, normalized):
+        """The render's candidate snapshots and the axis its frames are spaced on."""
+        ts, T_est = traj.times, traj.T_est
+        if normalized:
+            before = int(np.count_nonzero(ts < T_est))
+            return before, np.array([tau_of_t(t, T_est, traj.params.p) for t in ts[:before].tolist()])
+        return len(ts), np.log10(np.maximum(T_est - ts, 1e-300))
+
+    @pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])
+    def test_frames_beyond_the_snapshots_render_each_once(self, pert_run, tmp_path, capsys, monkeypatch, normalized):
+        traj, _ = cli.read_trajectory(pert_run)
+        candidates, _ = self.frame_axis(traj, normalized)
+
+        class NumpyWithShortLinspace:  # numpy as cli sees it, refusing more targets than candidates
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def linspace(start, stop, num=50, **kwargs):
+                if num > candidates:
+                    raise AssertionError(f"{num} frame targets for {candidates} candidate snapshots")
+                return np.linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(cli, "np", NumpyWithShortLinspace())
+        out = tmp_path / "frames"
+        extra = ["--normalized"] if normalized else []
+        assert cli.main(["render", "--traj", pert_run, "--frames", str(10**12), "--out", str(out)] + extra) == 0
+        assert capsys.readouterr().out == f"wrote {candidates} frame(s) to {out}\n"
+        assert (out / "curves.svg").read_text().count("<path") == candidates
+        assert sorted(os.listdir(out)) == ["curves.svg"] + [f"frame_{i:03d}.csv" for i in range(candidates)]
+
+    @pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])
+    def test_fewer_frames_keep_the_nearest_snapshot_picks(self, pert_run, tmp_path, capsys, normalized):
+        # the picks of one argmin per linspace target, as render made them for any --frames
+        traj, _ = cli.read_trajectory(pert_run)
+        _, axis = self.frame_axis(traj, normalized)
+        picks = sorted({int(np.argmin(np.abs(axis - x))) for x in np.linspace(axis[0], axis[-1], 8)})
+        states = [traj.snapshots[i] for i in picks]
+        if normalized:
+            states = [rescale_state(s, traj.T_est) for s in states]
+        label = "tau={:.3f}" if normalized else "t={:.6f}"
+        frames = [(label.format(s.t), reconstruct_curve(s, 2)) for s in states]
+        out = tmp_path / "frames"
+        extra = ["--normalized"] if normalized else []
+        assert cli.main(["render", "--traj", pert_run, "--frames", "8", "--out", str(out)] + extra) == 0
+        capsys.readouterr()
+        assert (out / "curves.svg").read_text() == render_svg(frames)
+        for i, (_, poly) in enumerate(frames):
+            assert (out / f"frame_{i:03d}.csv").read_text() == polyline_csv(poly)
 
     def test_non_rational_lambda_exit_5(self, tmp_path, capsys):
         code, traj_path = run_simulation(tmp_path, CONST_CONFIG)  # lam=2.0 untagged

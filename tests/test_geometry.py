@@ -331,3 +331,68 @@ class TestWriterBytes:
         small = CurvePolyline(points=pts * 1e-6, closure_residual=0.0, winding=1)
         frames = [("a", small), ("b", poly)]
         assert render_svg(frames) == reference_render_svg(frames)
+
+
+def reference_reconstruct_curve(state, m, samples_per_turn=1024):
+    """The per-call computation that ``reconstruct_curve`` replaced, which
+    rebuilt the nu grid, phase table and tangent field on every call: the
+    bit reference.  Returns (points, closure residual)."""
+    total = samples_per_turn * m
+    nu = np.linspace(0.0, 2.0 * math.pi * m, total + 1)
+    n = np.arange(1, state.params.n_max + 1)
+    phases = np.exp(1j * state.params.lam * np.outer(nu, n))
+    k = state.mean + 2.0 * np.real(phases @ state.coeffs[1:])
+    ds = 1.0 / k
+    tangent = np.stack([-np.sin(nu), np.cos(nu)], axis=1)
+    integrand = tangent * ds[:, None]
+    h = nu[1] - nu[0]
+    increments = 0.5 * h * (integrand[1:] + integrand[:-1])
+    pts = np.vstack([[0.0, 0.0], np.cumsum(increments, axis=0)])
+    residual = float(np.hypot(*(pts[-1] - pts[0])))
+    return pts - pts[:-1].mean(axis=0), residual
+
+
+@pytest.fixture(scope="module")
+def curves_by_winding():
+    """A perturbed m-fold circle for m = 1, 2, 3 (lam = 3, 5/2, 7/3)."""
+    harmonics = ((1, 1.0, 0.3), (2, 0.2, 1.1))
+    states = {}
+    for n, m in ((3, 1), (5, 2), (7, 3)):
+        params = FlowParams(p=1, lam=n / m, n_max=8, rational=(n, m))
+        states[m] = radial_perturbation_curvature(PerturbationSpec(m=m, n=n, delta=0.01, harmonics=harmonics), params)
+    return states
+
+
+class TestFrameTables:
+    """The nu grid, phase table, tangent field and CSV nu column are built
+    once per size; every frame keeps the per-call computation's bits."""
+
+    SIZES = [(m, per_turn) for per_turn in (64, 100, 1024) for m in (1, 2, 3)]
+
+    def test_bit_identical_across_evictions(self, curves_by_winding):
+        # each size differs from the one before, so the one-entry caches evict
+        # on every call; the second pass hits a cached size with a scaled state
+        for m, per_turn in self.SIZES + self.SIZES[::-1]:
+            for state in (curves_by_winding[m], curves_by_winding[m].scaled(1.5)):
+                poly = reconstruct_curve(state, m, samples_per_turn=per_turn)
+                points, residual = reference_reconstruct_curve(state, m, per_turn)
+                assert (poly.points == points).all()
+                assert poly.closure_residual == residual
+        assert geometry._frame_grid.cache_info().currsize == 1
+
+    def test_cached_tables_are_read_only(self, curves_by_winding):
+        state = curves_by_winding[2]
+        reconstruct_curve(state, 2, samples_per_turn=64)
+        for table in geometry._frame_grid(state.params.lam, state.params.n_max, 2, 64):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_csv_after_winding_or_length_change(self, curves_by_winding):
+        polys = [
+            reconstruct_curve(curves_by_winding[m], m, samples_per_turn=per_turn)
+            for m, per_turn in ((2, 64), (2, 100), (3, 100), (1, 1024), (2, 64))
+        ]
+        # the same point count at another winding: another nu column
+        polys.append(CurvePolyline(points=polys[2].points, closure_residual=0.0, winding=1))
+        for poly in polys:
+            assert polyline_csv(poly) == reference_polyline_csv(poly)
