@@ -51,7 +51,7 @@ from .normalize import (
     tau_of_t,
     unrescale_state,
 )
-from .rhs import RhsSplit, h_kernel, normalized_rhs, rhs_convolution, rhs_direct, rhs_fast, rhs_split
+from .rhs import h_kernel, normalized_rhs, rhs_convolution, rhs_direct, rhs_fast
 from .spectral import (
     FlowParams,
     GridField,

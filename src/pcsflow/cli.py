@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -65,7 +65,7 @@ MAX_N_MAX = 65_536
 
 
 def thread_count() -> int:
-    """Worker count for independent verify/bench cases (PCSFLOW_THREADS)."""
+    """Worker count for independent verify cases (PCSFLOW_THREADS)."""
     raw = os.environ.get("PCSFLOW_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -200,17 +200,7 @@ def _parse_init(section: dict) -> dict:
 
 
 def _parse_control(section: dict) -> StepControl:
-    allowed = {
-        "rel_tol",
-        "abs_tol",
-        "safety",
-        "max_step",
-        "min_step",
-        "k0_stop",
-        "snapshots_per_decade",
-        "tau_snapshot_interval",
-    }
-    _require_keys(section, allowed, "control")
+    _require_keys(section, {f.name for f in fields(StepControl)}, "control")
     defaults = StepControl()
     kwargs = {
         key: (_integer if isinstance(getattr(defaults, key), int) else _real)(value, f"control.{key}")
@@ -276,6 +266,12 @@ def load_config(path: str) -> RunConfig:
     return parse_config(doc)
 
 
+def _plain(section) -> dict:
+    """A config dataclass as a dict, its tuples as lists (``yaml.safe_dump``
+    takes no tuple)."""
+    return {key: list(val) if isinstance(val, tuple) else val for key, val in asdict(section).items()}
+
+
 def emit_config(config: RunConfig) -> dict:
     """Round-trippable plain-dict form of a configuration."""
     params = {
@@ -310,14 +306,8 @@ def emit_config(config: RunConfig) -> dict:
         "params": params,
         "init": init,
         "control": asdict(config.control),
-        "analysis": {
-            "c_override": config.analysis.c_override,
-            "power_window": list(config.analysis.power_window),
-            "tau_window": list(config.analysis.tau_window),
-            "envelope_window": list(config.analysis.envelope_window),
-            "rate_tolerance": config.analysis.rate_tolerance,
-        },
-        "output": {"directory": config.output.directory, "formats": list(config.output.formats)},
+        "analysis": _plain(config.analysis),
+        "output": _plain(config.output),
         "seed": config.seed,
     }
 
@@ -374,11 +364,17 @@ def write_trajectory(path: str, traj: Trajectory, config_echo: dict):
         fh.write(json.dumps(trailer) + "\n")
 
 
+def _finite_number(value) -> bool:
+    """An int or float (no bool, no text) that is finite."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def read_trajectory(path: str) -> tuple[Trajectory, dict]:
     """Load a trajectory file.  A missing, unreadable, torn or malformed file
-    (no snapshot, snapshot coeffs that are not n_max + 1 [re, im] number
-    pairs, no trailer last, a T_est neither null nor finite) raises
-    ``TrajectoryError``; a wrong format version its subtype ``VersionError``."""
+    (no snapshot, a snapshot t that is not a finite number, snapshot coeffs
+    that are not n_max + 1 [re, im] number pairs, no trailer last, a T_est
+    neither null nor finite) raises ``TrajectoryError``; a wrong format
+    version its subtype ``VersionError``."""
     try:
         with open(path) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
@@ -403,11 +399,13 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
         snapshots = []
         for rec in lines[1:]:
             if rec["kind"] == "snapshot":
+                if not _finite_number(rec["t"]):
+                    raise ValueError(f"t is {rec['t']!r}, not a finite number")
                 snapshots.append(rec)
             elif rec["kind"] == "trailer":
                 traj.events = [(t, kind, detail) for t, kind, detail in rec["events"]]
                 T_est = traj.T_est = rec.get("T_est")
-                if T_est is not None and (type(T_est) not in (int, float) or not math.isfinite(T_est)):
+                if T_est is not None and not _finite_number(T_est):
                     raise ValueError(f"T_est is {T_est!r}, not null or a finite number")
                 traj.stats = RunStats(**rec["run_stats"]) if rec.get("run_stats") else None
         if snapshots:
@@ -500,13 +498,7 @@ def _report_blowup(traj, cfg: AnalysisConfig) -> dict:
     return {
         "T_est": T_est,
         "T_uncertainty": unc,
-        "envelope": {
-            "ok": env.ok,
-            "n_checked": env.n_checked,
-            "window": list(env.window),
-            "worst_low": env.worst_low,
-            "worst_high": env.worst_high,
-        },
+        "envelope": asdict(env),
         "pass": bool(env.ok),
     }
 

@@ -26,8 +26,6 @@ all three evaluators agree to round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.fft import irfft, rfft
 
@@ -42,8 +40,6 @@ __all__ = [
     "rhs_direct",
     "rhs_convolution",
     "rhs_fast",
-    "rhs_split",
-    "RhsSplit",
     "normalized_rhs",
 ]
 
@@ -87,11 +83,11 @@ def pad_size(params) -> int:
 class RhsPlan:
     """The ``rhs_fast`` evaluator prepared for one FlowParams: the pad size, the
     multipliers (1, i*lam*n, -(lam*n)^2) giving the spectra of k, k', k'' and a
-    reusable buffer, so a call is one batched ``irfft`` and one ``rfft``.  With
-    ``normalized`` it returns p * deriv - c.  Not thread-safe (the buffer)."""
+    reusable buffer, so a call is one batched ``irfft`` and one ``rfft``.  Not
+    thread-safe (the buffer)."""
 
-    def __init__(self, params, normalized: bool = False):
-        self.params, self.normalized = params, normalized
+    def __init__(self, params):
+        self.params = params
         self.m = pad_size(params)
         lam_n = params.lam * np.arange(params.n_max + 1, dtype=np.float64)
         self._mult = np.array([np.ones_like(lam_n), 1j * lam_n, -(lam_n**2)])
@@ -104,8 +100,6 @@ class RhsPlan:
         k, kd, kdd = irfft(self._buf, n=m) * m
         vals = k**p * (k * kdd + (p - 1) * kd**2 + (k * k) / p)
         deriv = rfft(vals)[:size] / m
-        if self.normalized:
-            deriv = p * deriv - coeffs
         deriv[0] = deriv[0].real
         return deriv, k
 
@@ -181,38 +175,6 @@ def rhs_convolution(state: SpectralState) -> np.ndarray:
     return deriv
 
 
-@dataclass(frozen=True)
-class RhsSplit:
-    """Diagonal/linear and tuple-coupling parts of the mode derivative.
-
-    ``linear_coeff[n]`` is ((p+2)/p - lam^2 n^2) * c[0]^{p+1} (entry 0 unused),
-    ``zero_mode_linear`` is (1/p) c[0]^{p+2}, and ``nonlinear[n]`` is the sum
-    over tuples with at least two nonzero entries.
-    """
-
-    linear_coeff: np.ndarray
-    zero_mode_linear: float
-    nonlinear: np.ndarray
-
-
-def linear_coefficients(state: SpectralState) -> np.ndarray:
-    p, lam = state.params.p, state.params.lam
-    n = np.arange(state.params.n_max + 1, dtype=np.float64)
-    return diagonal_rates(p, lam, n) * state.mean ** (p + 1)
-
-
-def rhs_split(state: SpectralState) -> RhsSplit:
-    """Separate the derivative into its diagonal part and the tuple sums."""
-    p = state.params.p
-    lin = linear_coefficients(state)
-    zero_linear = state.mean ** (p + 2) / p
-    applied = lin * state.coeffs
-    applied[0] = zero_linear
-    nonlinear = rhs_fast(state) - applied
-    nonlinear[0] = nonlinear[0].real
-    return RhsSplit(linear_coeff=lin, zero_mode_linear=zero_linear, nonlinear=nonlinear)
-
-
 def normalized_rhs(state: SpectralState, check_positivity: bool = True) -> np.ndarray:
     """Mode derivative of the normalized flow, p * rhs(u) - u.
 
@@ -221,7 +183,9 @@ def normalized_rhs(state: SpectralState, check_positivity: bool = True) -> np.nd
     linearized rates -(p*lam^2*n^2 - p - 1) on nonzero modes and +(p+1) on
     the mean.  Requires the profile to stay strictly positive.
     """
-    out, grid = RhsPlan(state.params, normalized=True)(state.coeffs)
+    deriv, grid = RhsPlan(state.params)(state.coeffs)
+    out = state.params.p * deriv - state.coeffs
+    out[0] = out[0].real
     gmin = float(grid.min())
     if check_positivity and gmin <= 0.0:
         raise PositivityError(

@@ -414,7 +414,7 @@ def integrate_normalized(
     control = control or StepControl()
     p, lam, n = init.params.p, init.params.lam, np.arange(1, init.params.n_max + 1)
     state = init.with_coeffs(np.r_[1.0, init.coeffs[1:]]) if renormalize_mean else init
-    plan = RhsPlan(init.params, normalized=True)
+    plan = RhsPlan(init.params)
 
     def frozen(mean: float) -> np.ndarray:
         return np.r_[0.0, mean ** (p + 1) * (p + 2 - p * lam**2 * n**2) - 1.0, 0.0]
@@ -422,8 +422,11 @@ def integrate_normalized(
     rates = frozen(state.mean)
 
     def rhs(y: np.ndarray):
-        deriv, grid = plan(y[:-1])
-        return deriv - rates[:-1] * y[:-1], 1.0, grid
+        c = y[:-1]
+        deriv, grid = plan(c)
+        deriv = p * deriv - c
+        deriv[0] = deriv[0].real
+        return deriv - rates[:-1] * c, 1.0, grid
 
     core = _Stepper(state.params, np.append(state.coeffs, state.t), control, rhs, rates)
     traj = Trajectory(params=init.params, snapshots=[state])
@@ -448,7 +451,7 @@ def integrate_normalized(
         if renormalize_mean:
             core.y[0] = 1.0
             core.reset(core.y)
-        else:  # refreeze L (the core's rates too) at the new mean; N = plan(y) - L y moves with it
+        else:  # refreeze L (the core's rates too) at the new mean; N = p plan(y) - y - L y moves with it
             new = frozen(core.y[0].real)
             core.f += (rates - new) * core.y
             rates[:] = new

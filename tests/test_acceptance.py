@@ -119,8 +119,7 @@ def test_criterion_03_diagonal_split_identity():
     rng = np.random.default_rng(43)
     worst = 0.0
     for p, lam in ((1, 2.0), (2, 2.0), (3, 2.0), (1, 3.5)):
-        # the single-tuple placements against the integrator's diagonal rates,
-        # and the diagonal part plus the tuple part against the derivative
+        # the single-tuple placements against the integrator's diagonal rates
         params = FlowParams(p=p, lam=lam, n_max=8)
         for _ in range(25):
             worst = max(worst, split_defect(random_trapped_state(params, rng)))

@@ -554,8 +554,22 @@ class TestAnalyze:
             lambda rec: rec["coeffs"].pop(),
             lambda rec: rec["coeffs"][0].__setitem__(1, 0.5),
             lambda rec: rec.__setitem__("t", -1.0),
+            lambda rec: rec.__setitem__("t", str(rec["t"])),
+            lambda rec: rec.__setitem__("t", True),
+            lambda rec: rec.__setitem__("t", None),
         ],
-        ids=["text", "null", "huge_int", "short_pair", "ragged_snapshot", "non_real_mean", "t_not_increasing"],
+        ids=[
+            "text",
+            "null",
+            "huge_int",
+            "short_pair",
+            "ragged_snapshot",
+            "non_real_mean",
+            "t_not_increasing",
+            "t_text",
+            "t_bool",
+            "t_null",
+        ],
     )
     def test_malformed_snapshot_exit_4(self, pert_run, tmp_path, capsys, command, edit):
         self.assert_unreadable(capsys, edited_snapshot(pert_run, tmp_path, edit), "malformed record", command)

@@ -7,16 +7,7 @@ from hypothesis import strategies as st
 
 from pcsflow.checks import oracle_defects, placement_defect, split_defect
 from pcsflow.errors import OversizeError, PositivityError
-from pcsflow.rhs import (
-    RhsPlan,
-    h_kernel,
-    linear_coefficients,
-    normalized_rhs,
-    pad_size,
-    rhs_direct,
-    rhs_fast,
-    rhs_split,
-)
+from pcsflow.rhs import RhsPlan, h_kernel, normalized_rhs, pad_size, rhs_direct, rhs_fast
 from pcsflow.spectral import FlowParams, SpectralState, lambda_threshold, synthesize
 
 from conftest import make_state, random_trapped_state, rel_diff
@@ -124,6 +115,7 @@ class TestStructuralProperties:
             s = random_trapped_state(FlowParams(p=p, lam=2.0, n_max=8), rng)
             assert rhs_fast(s)[0].imag == 0.0
             assert rhs_direct(s)[0].imag == 0.0
+            assert normalized_rhs(s)[0].imag == 0.0
 
     def test_translation_equivariance(self, rng):
         # shifting theta by s multiplies mode n by exp(i lam n s) on both
@@ -161,28 +153,18 @@ class TestRhsSplit:
                 assert placement_defect(p, 2.0, n) <= 1e-12
 
     def test_constant_state_has_zero_nonlinear(self):
+        # constant data has no tuple part: the derivative is the zero mode's
+        # diagonal term (1/p) c0^{p+2} alone
         params = FlowParams(p=2, lam=2.0, n_max=4)
-        split = rhs_split(make_state(params, {0: 1.3}))
-        assert np.max(np.abs(split.nonlinear)) < 1e-13
+        expected = np.zeros(5, dtype=np.complex128)
+        expected[0] = 1.3**4 / 2
+        assert np.max(np.abs(rhs_fast(make_state(params, {0: 1.3})) - expected)) < 1e-13
 
     def test_reassembly(self, rng):
+        # the placement identity over a whole band, as verify's diagonal_split check runs it
         for p in (1, 2, 3):
             params = FlowParams(p=p, lam=2.0, n_max=8)
             assert split_defect(random_trapped_state(params, rng)) < 1e-12
-
-    def test_nonlinear_zero_mode_is_real(self, rng):
-        params = FlowParams(p=1, lam=2.0, n_max=8)
-        s = random_trapped_state(params, rng)
-        split = rhs_split(s)
-        scale = max(abs(split.nonlinear[0]), 1e-300)
-        assert abs(split.nonlinear[0].imag) / scale < 1e-12
-
-    def test_linear_coefficients_formula(self):
-        params = FlowParams(p=1, lam=2.0, n_max=3)
-        s = make_state(params, {0: 2.0})
-        lin = linear_coefficients(s)
-        n = np.arange(4)
-        assert np.allclose(lin, (3.0 - 4.0 * n**2) * 4.0)
 
 
 class TestNormalizedRhs:
@@ -254,10 +236,10 @@ class TestRhsPlan:
     def test_normalized_plan_matches(self, rng):
         for p in (1, 2, 3):
             params = FlowParams(p=p, lam=2.0, n_max=8)
-            plan = RhsPlan(params, normalized=True)
+            plan = RhsPlan(params)
             for _ in range(3):
                 s = random_trapped_state(params, rng)
-                deriv, _ = plan(np.array(s.coeffs))
+                deriv = p * plan(np.array(s.coeffs))[0] - s.coeffs
                 assert rel_diff(deriv, normalized_rhs(s)) < 1e-10
                 assert rel_diff(deriv, p * rhs_direct(s) - s.coeffs) < 1e-10
 
