@@ -54,13 +54,12 @@ from .normalize import (
 from .rhs import h_kernel, normalized_rhs, rhs_convolution, rhs_direct, rhs_fast
 from .spectral import (
     FlowParams,
-    GridField,
     SpectralState,
     analyze_grid,
-    cl_deviation_bound,
+    coeff_cl_bound,
+    coeff_seminorm,
     default_grid_size,
     lambda_threshold,
-    seminorm,
     synthesize,
 )
 from .stepping import StepControl, Trajectory, integrate, integrate_normalized, step

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AnalysisError
-from .spectral import FlowParams, SpectralState, coeff_seminorm, seminorm, synthesize
-from .stepping import Trajectory
+from .spectral import FlowParams, SpectralState, coeff_seminorm, synthesize
+
+if TYPE_CHECKING:  # stepping imports trap_margin from here
+    from .stepping import Trajectory
 
 __all__ = [
     "alpha_exponent",
@@ -81,18 +84,18 @@ class HypothesisReport:
     margin: float
 
 
+def trap_margin(coeffs: np.ndarray, c: float) -> np.ndarray:
+    """Distance to the cone boundary, c[0] - c * max_n n^2 max(|Re c[n]|, |Im c[n]|),
+    of bare half spectra c[..., 0..n_max]: a scalar for one spectrum, one value
+    per row of a stack."""
+    return coeffs[..., 0].real - c * coeff_seminorm(coeffs, 2.0)
+
+
 def check_hypothesis(psi: SpectralState, c: float) -> HypothesisReport:
     """Mean-vs-tail admission test: mean(psi) >= c * ||psi||_2 and psi > 0."""
-    mean = psi.mean
-    s2 = seminorm(psi, 2.0)
-    margin = mean - c * s2
-    positive = bool(np.min(synthesize(psi).values) > 0.0)
-    return HypothesisReport(holds=bool(margin >= 0.0 and positive), mean=mean, seminorm2=s2, margin=margin)
-
-
-def trap_margin(state: SpectralState, c: float) -> float:
-    """Distance to the cone boundary: mean - c * max_n n^2 max(|Re|,|Im|)."""
-    return state.mean - c * seminorm(state, 2.0)
+    s2, margin = float(coeff_seminorm(psi.coeffs, 2.0)), float(trap_margin(psi.coeffs, c))
+    positive = bool(np.min(synthesize(psi)) > 0.0)
+    return HypothesisReport(holds=bool(margin >= 0.0 and positive), mean=psi.mean, seminorm2=s2, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,11 @@ class TrapCertificate:
         return min(m for _, m in self.margins)
 
 
-def fit_loglinear(x: np.ndarray, y: np.ndarray, trim_sigma: float = 3.0):
+# Residuals beyond this many standard deviations are dropped by fit_loglinear's trim pass.
+_TRIM_SIGMA = 3.0
+
+
+def fit_loglinear(x: np.ndarray, y: np.ndarray):
     """Least-squares slope of log y against x with one 3-sigma trim pass.
 
     Returns (slope, intercept, stderr_of_slope, n_used).
@@ -130,7 +137,7 @@ def fit_loglinear(x: np.ndarray, y: np.ndarray, trim_sigma: float = 3.0):
     resid = logy - (slope * x + intercept)
     sigma = np.std(resid)
     if sigma > 0:
-        keep = np.abs(resid) <= trim_sigma * sigma
+        keep = np.abs(resid) <= _TRIM_SIGMA * sigma
         if keep.sum() >= max(3, int(0.5 * len(x))) and keep.sum() < len(x):
             x, logy = x[keep], logy[keep]
             slope, intercept = np.polyfit(x, logy, 1)
@@ -148,7 +155,7 @@ def certify(traj: Trajectory, c: float) -> TrapCertificate:
         raise AnalysisError("trajectory has no snapshots")
     ts, k0 = traj.times, coeffs[:, 0].real
     tails = coeff_seminorm(coeffs, 2.0)
-    margins = list(zip(ts.tolist(), (k0 - c * tails).tolist()))
+    margins = list(zip(ts.tolist(), trap_margin(coeffs, c).tolist()))
 
     gamma_fit = None
     ok = tails > 1e3 * _EPS * k0.max()

@@ -45,7 +45,7 @@ def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 def round_trip_defect(state: SpectralState, m: int) -> float:
     """Largest coefficient error of synthesizing on m grid points and analyzing back."""
-    return float(np.max(np.abs(analyze_grid(synthesize(state, m)).coeffs - state.coeffs)))
+    return float(np.max(np.abs(analyze_grid(state.params, synthesize(state, m)).coeffs - state.coeffs)))
 
 
 def oracle_defects(state: SpectralState) -> tuple[float, float]:
@@ -62,10 +62,9 @@ def placement_defect(p: int, lam: float, n: int) -> float:
     return abs(placements - analytic) / abs(analytic)
 
 
-def split_defect(state: SpectralState) -> float:
-    """Worst ``placement_defect`` over the band of the state's parameters."""
-    p, lam = state.params.p, state.params.lam
-    return max(placement_defect(p, lam, n) for n in range(state.params.n_max + 1))
+def split_defect(params: FlowParams) -> float:
+    """Worst ``placement_defect`` over the band of the parameters."""
+    return max(placement_defect(params.p, params.lam, n) for n in range(params.n_max + 1))
 
 
 def exact_blowup_time(p: int, a: float) -> float:

@@ -41,6 +41,7 @@ from .blowup import (
     estimate_T,
     fit_power,
     select_c,
+    trap_margin,
 )
 from .errors import AnalysisError, ConfigError, FlowError, TrajectoryError, VersionError
 from .geometry import PerturbationSpec, polyline_csv, radial_perturbation_curvature, reconstruct_curve, render_svg
@@ -89,7 +90,6 @@ class AnalysisConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    formats: tuple = ("jsonl", "csv")
 
 
 @dataclass(frozen=True)
@@ -229,13 +229,8 @@ def _parse_analysis(section: dict) -> AnalysisConfig:
 
 
 def _parse_output(section: dict) -> OutputConfig:
-    _require_keys(section, {"directory", "formats"}, "output")
-    kwargs = {}
-    if "directory" in section:
-        kwargs["directory"] = str(section["directory"])
-    if "formats" in section:
-        kwargs["formats"] = tuple(str(f) for f in _list(section["formats"], "output.formats"))
-    return OutputConfig(**kwargs)
+    _require_keys(section, {"directory"}, "output")
+    return OutputConfig(**{key: str(value) for key, value in section.items()})
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -439,9 +434,9 @@ def metrics_csv(traj: Trajectory, c: float) -> str:
     k0 = coeffs[:, 0].real
     # Python's pow per row: numpy's SIMD power loop can differ from libm's in the last bit
     speed = np.array([k ** -(p + 1) if k > 0 else np.nan for k in k0.tolist()])
-    s2 = coeff_seminorm(coeffs, 2.0)
+    margin, s2 = trap_margin(coeffs, c), coeff_seminorm(coeffs, 2.0)
     sup_dev = coeff_sup_deviation(coeffs, default_grid_size(traj.params))
-    table = np.column_stack([t, k0, t + (p / (p + 1)) * speed, k0 - c * s2, s2, sup_dev])
+    table = np.column_stack([t, k0, t + (p / (p + 1)) * speed, margin, s2, sup_dev])
     rows = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())
     return "t,k0,T_est_running,trap_margin,seminorm2,sup_dev\n" + rows
 
@@ -459,12 +454,18 @@ def _make_out_dir(path: str):
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
 
 
+def _trap_constant(params: FlowParams, cfg: AnalysisConfig) -> tuple[float, str]:
+    """The cone constant c, ``c_override`` else ``select_c``, and where it came
+    from: override, heuristic (p >= 2) or closed-form."""
+    if cfg.c_override is not None:
+        return cfg.c_override, "override"
+    return select_c(params), "heuristic" if c_is_heuristic(params.p) else "closed-form"
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     init = initial_state(config)
-    c = config.analysis.c_override
-    if c is None:
-        c = select_c(config.params)
+    c, _ = _trap_constant(config.params, config.analysis)
     out_dir = args.out or config.output.directory
     _make_out_dir(out_dir)
     traj = integrate(init, config.control, trap_c=c)
@@ -534,15 +535,12 @@ def _report_rates(traj, cfg: AnalysisConfig) -> dict:
 
 
 def _report_trap(traj, cfg: AnalysisConfig) -> dict:
-    params = traj.params
-    c = cfg.c_override if cfg.c_override is not None else select_c(params)
+    c, source = _trap_constant(traj.params, cfg)
     cert = certify(traj, c)
     hyp = check_hypothesis(traj.snapshots[0], c)
     return {
         "c": c,
-        "c_source": "override"
-        if cfg.c_override is not None
-        else ("heuristic" if c_is_heuristic(params.p) else "closed-form"),
+        "c_source": source,
         "hypothesis": asdict(hyp),
         "holds": cert.holds,
         "min_margin": cert.min_margin,
@@ -678,7 +676,7 @@ def _verify_oracle(seed: int) -> tuple[bool, str]:
 
 
 def _verify_split(seed: int) -> tuple[bool, str]:
-    worst = max(checks.split_defect(s) for s in _draws(seed + 2, (1, 2, 3), (6,), 1))
+    worst = max(checks.split_defect(FlowParams(p=p, lam=2.0, n_max=6)) for p in (1, 2, 3))
     return worst <= 1e-12, f"max identity defect {worst:.2e}"
 
 
@@ -733,7 +731,12 @@ def cmd_verify(args) -> int:
 # bench
 
 
-def _time_call(fn, state, budget_s: float = 0.2, max_repeat: int = 1000) -> float:
+# A timing repeat of a call faster than _BUDGET_S / 50 loops it for about
+# _BUDGET_S / 10, at most _MAX_REPEAT times.
+_BUDGET_S, _MAX_REPEAT = 0.2, 1000
+
+
+def _time_call(fn, state) -> float:
     fn(state)  # warm-up
     best = float("inf")
     for _ in range(5):
@@ -741,8 +744,8 @@ def _time_call(fn, state, budget_s: float = 0.2, max_repeat: int = 1000) -> floa
         start = time.perf_counter()
         fn(state)
         elapsed = time.perf_counter() - start
-        if elapsed < budget_s / 50 and elapsed > 0:
-            reps = min(max_repeat, max(1, int(budget_s / 10 / max(elapsed, 1e-7))))
+        if elapsed < _BUDGET_S / 50 and elapsed > 0:
+            reps = min(_MAX_REPEAT, max(1, int(_BUDGET_S / 10 / max(elapsed, 1e-7))))
             start = time.perf_counter()
             for _ in range(reps):
                 fn(state)

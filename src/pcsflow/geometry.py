@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FlowParams, GridField, SpectralState, analyze_grid, next_fast_len
+from .spectral import FlowParams, SpectralState, analyze_grid, next_fast_len
 
 __all__ = [
     "PerturbationSpec",
@@ -122,6 +122,9 @@ def mfold_curvature(m: int, params: FlowParams) -> SpectralState:
 # m=2, n=7 at delta 0.0754 (convexity ends at 1/13.25 = 0.07547) takes 84.
 _NEWTON_STEPS = 100
 
+# Points over one period at which the radius and the curvature must be positive.
+_GUARD_SAMPLES = 8192
+
 
 def _polar(spec: PerturbationSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(arctan(r'/r), nu'(theta), kappa(theta)) of the polar curve r(theta)."""
@@ -131,23 +134,21 @@ def _polar(spec: PerturbationSpec, theta: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.arctan(rp / r), slope, slope / np.sqrt(q)
 
 
-def radial_perturbation_curvature(
-    spec: PerturbationSpec, params: FlowParams, samples: int = 8192
-) -> SpectralState:
+def radial_perturbation_curvature(spec: PerturbationSpec, params: FlowParams) -> SpectralState:
     """Curvature-vs-normal-angle coefficients of the perturbed circle.
 
     With q = r^2 + r'^2, the polar curvature is kappa = (r^2 + 2 r'^2 - r r'')
     / q^{3/2} and the normal angle nu = theta - arctan(r'/r) has nu' =
     (r^2 + 2 r'^2 - r r'') / q, positive by convexity.  Newton's method from
     theta = nu solves nu(theta) = nu_j on the uniform grid the band is read
-    from, and kappa is evaluated there in closed form.  ``samples`` points
+    from, and kappa is evaluated there in closed form.  _GUARD_SAMPLES points
     over one period (r and kappa are periodic) back the radius and
     curvature guards.
     """
     if abs(params.lam - spec.lam) > 1e-12 * max(1.0, params.lam):
         raise ValueError(f"params.lam={params.lam} does not match spec n/m={spec.lam}")
     period = params.period
-    th = np.arange(samples) * (period / samples)
+    th = np.arange(_GUARD_SAMPLES) * (period / _GUARD_SAMPLES)
     r = spec.radius(th)
     if np.min(r) <= 0:
         raise ValueError(f"delta={spec.delta} too large: radius reaches {np.min(r):.3e}")
@@ -171,7 +172,7 @@ def radial_perturbation_curvature(
             f"delta={spec.delta}: normal angle not inverted in {_NEWTON_STEPS} Newton steps "
             f"(last step {np.max(np.abs(step)):.3e})"
         )
-    return analyze_grid(GridField(params, _polar(spec, theta)[2]))
+    return analyze_grid(params, _polar(spec, theta)[2])
 
 
 @functools.lru_cache(maxsize=1)
@@ -229,15 +230,15 @@ def hausdorff_to_circle(poly: CurvePolyline) -> float:
     return float(np.max(np.abs(radii - r_star)) / r_star)
 
 
+# Width and height of a rendered SVG, in pixels.
+_SVG_SIZE = 640
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def render_svg(
-    frames: list[tuple[str, CurvePolyline]],
-    size: int = 640,
-    max_path_points: int = 512,
-) -> str:
+def render_svg(frames: list[tuple[str, CurvePolyline]], max_path_points: int = 512) -> str:
     """Deterministic SVG document: one closed path per frame, opacity graded
     from oldest to newest, legend with the frame labels."""
     if not frames:
@@ -253,7 +254,7 @@ def render_svg(
     flip = _fmt(-(2 * view[1] + view[3]))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
         f'viewBox="{_fmt(view[0])} {_fmt(view[1])} {_fmt(view[2])} {_fmt(view[3])}">',
         f'<g fill="none" stroke="#1f4e79" stroke-width="{_fmt(stroke)}" '
         f'transform="scale(1,-1) translate(0,{flip})">',

@@ -17,7 +17,8 @@ components.  Three evaluators are provided:
 * ``rhs_direct``      -- literal tuple enumeration (the oracle; cost
                          (2*n_max+1)^{p+2}, guarded to n_max <= 12, p <= 3);
 * ``rhs_convolution`` -- term-by-term direct convolution, O(n_max^2) at p=1;
-* ``rhs_fast``        -- pseudospectral product on a zero-padded grid (``RhsPlan``).
+* ``rhs_fast``        -- pseudospectral product on a zero-padded grid (``RhsPlan``,
+                         one batched ``irfft`` that pads and one ``rfft`` a call).
 
 The padded grid has M >= (p+3)*n_max + 1 points (rounded up to a power of
 two), so products of band-limited factors cannot alias back into the band:
@@ -81,23 +82,21 @@ def pad_size(params) -> int:
 
 
 class RhsPlan:
-    """The ``rhs_fast`` evaluator prepared for one FlowParams: the pad size, the
-    multipliers (1, i*lam*n, -(lam*n)^2) giving the spectra of k, k', k'' and a
-    reusable buffer, so a call is one batched ``irfft`` and one ``rfft``.  Not
-    thread-safe (the buffer)."""
+    """The ``rhs_fast`` evaluator prepared for one FlowParams: the pad size and
+    the multipliers (1, i*lam*n, -(lam*n)^2) giving the spectra of k, k', k'',
+    so a call is one batched ``irfft`` (which zero-pads them to the grid) and
+    one ``rfft``."""
 
     def __init__(self, params):
         self.params = params
         self.m = pad_size(params)
         lam_n = params.lam * np.arange(params.n_max + 1, dtype=np.float64)
         self._mult = np.array([np.ones_like(lam_n), 1j * lam_n, -(lam_n**2)])
-        self._buf = np.zeros((3, self.m // 2 + 1), dtype=np.complex128)
 
     def __call__(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(mode derivative, padded-grid profile k) at the coefficients."""
         p, m, size = self.params.p, self.m, len(coeffs)
-        np.multiply(self._mult, coeffs, out=self._buf[:, :size])
-        k, kd, kdd = irfft(self._buf, n=m) * m
+        k, kd, kdd = irfft(self._mult * coeffs, n=m) * m
         vals = k**p * (k * kdd + (p - 1) * kd**2 + (k * k) / p)
         deriv = rfft(vals)[:size] / m
         deriv[0] = deriv[0].real

@@ -7,7 +7,9 @@ Profiles are stored as a half spectrum: complex coefficients c[n] for
 
 The half spectrum maps directly onto numpy's rfft layout, which makes the
 grid <-> spectrum round trip exact for band-limited fields and prevents the
-realness constraint from drifting.
+realness constraint from drifting.  Grid samples are plain arrays, and each
+profile quantity has one function on bare half spectra c[..., 0..n_max]
+(one spectrum or a stack of rows).
 """
 
 from __future__ import annotations
@@ -24,17 +26,14 @@ from .errors import GridTooSmallError
 __all__ = [
     "FlowParams",
     "SpectralState",
-    "GridField",
     "lambda_threshold",
     "default_grid_size",
     "next_fast_len",
     "synthesize",
     "analyze_grid",
-    "seminorm",
     "coeff_seminorm",
     "coeff_sup_deviation",
     "coeff_cl_bound",
-    "cl_deviation_bound",
     "grid_derivative_sup",
 ]
 
@@ -147,28 +146,6 @@ class SpectralState:
         return SpectralState(self.params, self.t, self.coeffs * factor)
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Real samples on the uniform theta-grid over one period [0, 2*pi/lam)."""
-
-    params: FlowParams
-    values: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def grid_points(self) -> int:
-        return len(self.values)
-
-    def thetas(self) -> np.ndarray:
-        m = self.grid_points
-        return np.arange(m) * (self.params.period / m)
-
-
 def next_fast_len(target: int) -> int:
     """Smallest 5-smooth integer (2^a 3^b 5^c) >= target: a length pocketfft
     transforms fastest, as ``scipy.fft.next_fast_len(target, real=True)``."""
@@ -195,36 +172,33 @@ def _require_grid(m: int, n_max: int, failure: str):
         raise GridTooSmallError(f"grid of {m} points {failure} modes up to {n_max}; need >= {2 * n_max + 1}")
 
 
-def synthesize(state: SpectralState, grid_points: int | None = None) -> GridField:
-    """Evaluate the profile on a uniform grid of the stated size.
+def synthesize(state: SpectralState, grid_points: int | None = None) -> np.ndarray:
+    """Samples of the profile on the uniform theta-grid of the stated size over
+    one period [0, 2*pi/lam).
 
     Requires grid_points >= 2*n_max + 1 so no band content is lost.
     """
     m = default_grid_size(state.params) if grid_points is None else int(grid_points)
     _require_grid(m, state.params.n_max, "cannot resolve")
-    return GridField(state.params, irfft(state.coeffs, n=m) * m, t=state.t)
+    return irfft(state.coeffs, n=m) * m
 
 
-def analyze_grid(field: GridField) -> SpectralState:
-    """Coefficients of the trigonometric interpolant, truncated to the band."""
-    n_max = field.params.n_max
-    m = field.grid_points
-    _require_grid(m, n_max, "underdetermines")
-    values = np.asarray(field.values, dtype=np.float64)
+def analyze_grid(params: FlowParams, values: np.ndarray) -> SpectralState:
+    """Coefficients at t = 0 of the trigonometric interpolant of real samples
+    on the uniform theta-grid over one period, truncated to the band."""
+    values = np.asarray(values, dtype=np.float64)
+    m = len(values)
+    _require_grid(m, params.n_max, "underdetermines")
     if not np.all(np.isfinite(values)):
         raise ValueError("grid samples contain non-finite values")
     spec = rfft(values) / m
-    return SpectralState(field.params, field.t, spec[: n_max + 1])
-
-
-def seminorm(state: SpectralState, beta: float) -> float:
-    """max over nonzero band modes of n^beta * max(|Re c[n]|, |Im c[n]|)."""
-    return float(coeff_seminorm(state.coeffs, beta))
+    return SpectralState(params, 0.0, spec[: params.n_max + 1])
 
 
 def coeff_seminorm(coeffs: np.ndarray, beta: float) -> np.ndarray:
-    """``seminorm`` of bare half spectra c[..., 0..n_max], reduced over the
-    last axis: a scalar for one spectrum, one value per row of a stack."""
+    """max over nonzero band modes of n^beta * max(|Re c[n]|, |Im c[n]|) of bare
+    half spectra c[..., 0..n_max], reduced over the last axis: a scalar for one
+    spectrum, one value per row of a stack."""
     c = coeffs[..., 1:]
     n = np.arange(1, c.shape[-1] + 1, dtype=np.float64)
     weighted = n**beta * np.maximum(np.abs(c.real), np.abs(c.imag))
@@ -239,17 +213,13 @@ def coeff_sup_deviation(coeffs: np.ndarray, grid_points: int) -> np.ndarray:
 
 
 def coeff_cl_bound(coeffs: np.ndarray, lam: float, l: int) -> np.ndarray:
-    """``cl_deviation_bound`` of bare half spectra c[..., 0..n_max]."""
+    """Coefficient bound 2*sum (lam*n)^l |c[n]| on the C^l size of k - mean(k),
+    of bare half spectra c[..., 0..n_max]."""
     if l < 0:
         raise ValueError("derivative order must be nonnegative")
     c = coeffs[..., 1:]
     n = np.arange(1, c.shape[-1] + 1, dtype=np.float64)
     return 2.0 * np.sum((lam * n) ** l * np.abs(c), axis=-1)
-
-
-def cl_deviation_bound(state: SpectralState, l: int) -> float:
-    """Coefficient bound 2*sum (lam*n)^l |c[n]| on the C^l size of k - mean(k)."""
-    return float(coeff_cl_bound(state.coeffs, state.params.lam, l))
 
 
 def grid_derivative_sup(state: SpectralState, l: int, grid_points: int | None = None) -> float:

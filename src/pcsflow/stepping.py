@@ -38,9 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blowup import trap_margin
 from .errors import IntegrationError, PositivityError
 from .rhs import RhsPlan, diagonal_rates, rhs_fast
-from .spectral import SpectralState, coeff_seminorm
+from .spectral import SpectralState
 
 __all__ = ["StepControl", "RunStats", "Trajectory", "step", "integrate", "integrate_normalized"]
 
@@ -173,8 +174,15 @@ def _own_clock(y: np.ndarray) -> tuple[float, float]:
     return float(y[-1].real), 1.0
 
 
-def _controller_factor(err_norm: float, grow: float = 5.0, shrink: float = 0.2) -> float:
-    return grow if err_norm == 0.0 else min(grow, max(shrink, 0.9 * err_norm ** (-0.2)))
+# Bounds on the factor by which the controller changes the step after a trial.
+_GROW, _SHRINK = 5.0, 0.2
+
+# Accepted and rejected steps a run may take before it ends in a step_floor event.
+_MAX_STEPS = 2_000_000
+
+
+def _controller_factor(err_norm: float) -> float:
+    return _GROW if err_norm == 0.0 else min(_GROW, max(_SHRINK, 0.9 * err_norm ** (-0.2)))
 
 
 # A step tried from the current point: its size h on the core's clock, end
@@ -247,7 +255,7 @@ class _Stepper:
             self.stats.landing += 1
         return trial
 
-    def run(self, traj, h, max_steps, done, settle, clip):
+    def run(self, traj, h, done, settle, clip):
         """The adaptive loop both flows share; True when ``done()`` ended it.
         Steps h are on the core's clock s; ``max_step`` and the step floor act
         on the model-time step dt = h dt/ds.  ``clip(h)`` may shorten a step onto
@@ -256,7 +264,7 @@ class _Stepper:
         a step_floor once t no longer tells it from the last snapshot.  Fills
         ``traj.stats``."""
         control, stats, finished = self.control, self.stats, False
-        for _ in range(max_steps):
+        for _ in range(_MAX_STEPS):
             if finished := done():
                 break
             t, speed = self.clock(self.y)
@@ -297,7 +305,6 @@ def integrate(
     init: SpectralState,
     control: StepControl | None = None,
     trap_c: float | None = None,
-    max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate the mode system until c[0] reaches k0_stop or a failure event.
 
@@ -337,7 +344,7 @@ def integrate(
 
     def watch_trap():
         nonlocal negative
-        margin = float(core.y[0].real) - trap_c * coeff_seminorm(core.y[:-1], 2.0)
+        margin = float(trap_margin(core.y[:-1], trap_c))
         core.stats.min_trap_margin = min(core.stats.min_trap_margin, margin)
         if margin < 0.0 and not negative:
             traj.add_event(core.t, "trap_violation", f"margin={margin:.6e}")
@@ -380,7 +387,7 @@ def integrate(
         watch_trap()
     # a rung on k0_stop counts as reached when landed within tolerance below it
     stop = control.k0_stop * (1.0 - _LANDING_TOL)
-    reached = core.run(traj, 0.01 * p, max_steps, lambda: core.y[0].real >= stop, settle, clip)
+    reached = core.run(traj, 0.01 * p, lambda: core.y[0].real >= stop, settle, clip)
     if reached:
         traj.add_event(core.t, "blow_up_stop", f"k0={core.y[0].real:.6e}")
     if core.t > traj.snapshots[-1].t:
@@ -394,7 +401,6 @@ def integrate_normalized(
     control: StepControl | None = None,
     renormalize_mean: bool = False,
     tau_snapshots: list[float] | None = None,
-    max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate the normalized flow to tau = tau_horizon.
 
@@ -459,5 +465,5 @@ def integrate_normalized(
             marks.pop(0)
         return on_mark
 
-    core.run(traj, control.max_step, max_steps, lambda: core.t >= tau_horizon - 1e-12, settle, clip)
+    core.run(traj, control.max_step, lambda: core.t >= tau_horizon - 1e-12, settle, clip)
     return traj

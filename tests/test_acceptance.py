@@ -97,7 +97,7 @@ def test_criterion_01_exact_blow_up(constant_runs):
         # amplifies as (k0/a)^{p+1}, so test just after one doubling
         snap = next(s for s in traj.snapshots if s.mean >= 2 * a)
         u = rescale_state(snap, exact_blowup_time(p, a))
-        dev = float(np.max(np.abs(synthesize(u, 64).values - 1.0)))
+        dev = float(np.max(np.abs(synthesize(u, 64) - 1.0)))
         worst_u = max(worst_u, dev)
         assert defect <= 1e-6
         assert dev <= 1e-10
@@ -122,7 +122,7 @@ def test_criterion_03_diagonal_split_identity():
         # the single-tuple placements against the integrator's diagonal rates
         params = FlowParams(p=p, lam=lam, n_max=8)
         for _ in range(25):
-            worst = max(worst, split_defect(random_trapped_state(params, rng)))
+            worst = max(worst, split_defect(random_trapped_state(params, rng).params))
     assert worst <= 1e-12
     announce(3, f"single-nonzero-tuple sum == diagonal coefficient, defect {worst:.2e}")
 
@@ -132,7 +132,7 @@ def test_criterion_04_trapping_regression(run_p1_d001, run_p1_d005):
         assert traj.has_event("blow_up_stop")
         assert not traj.has_event("trap_violation")
         assert traj.snapshots[-1].mean >= 1e6
-        margins = [trap_margin(s, 256.0) for s in traj.snapshots]
+        margins = [trap_margin(s.coeffs, 256.0) for s in traj.snapshots]
         assert min(margins) >= 0.0
         assert np.all(np.diff(traj.k0) > 0)
     announce(4, "margins >= 0 at every snapshot to k0=1e6 and k0 non-decreasing, both deltas")

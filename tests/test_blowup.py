@@ -93,20 +93,20 @@ class TestCheckHypothesis:
 
 class TestTrapMargin:
     def test_constant(self):
-        assert trap_margin(make_state(P18, {0: 1.7}), 256.0) == pytest.approx(1.7)
+        assert trap_margin(make_state(P18, {0: 1.7}).coeffs, 256.0) == pytest.approx(1.7)
 
     def test_half_and_full_boundary(self):
         c = 100.0
         inner = make_state(P18, {0: 1.0, 1: 1.0 / (2 * c)})
-        assert trap_margin(inner, c) == pytest.approx(0.5)
+        assert trap_margin(inner.coeffs, c) == pytest.approx(0.5)
         boundary = make_state(P18, {0: 1.0, 1: 1.0 / c})
-        assert trap_margin(boundary, c) == pytest.approx(0.0, abs=1e-15)
+        assert trap_margin(boundary.coeffs, c) == pytest.approx(0.0, abs=1e-15)
 
     def test_homogeneity(self):
         s = make_state(P18, {0: 1.0, 1: 0.001 + 0.002j, 3: -0.0004j})
         for a in (0.5, 3.0):
-            assert trap_margin(s.scaled(a), 256.0) == pytest.approx(
-                a * trap_margin(s, 256.0), rel=1e-13
+            assert trap_margin(s.scaled(a).coeffs, 256.0) == pytest.approx(
+                a * trap_margin(s.coeffs, 256.0), rel=1e-13
             )
 
 
@@ -231,7 +231,7 @@ class TestCertify:
         # certify works on the stacked coefficients; trap_margin is the
         # per-snapshot reference, bit for bit
         cert = certify(perturbed_run, 256.0)
-        assert cert.margins == [(s.t, trap_margin(s, 256.0)) for s in perturbed_run.snapshots]
+        assert cert.margins == [(s.t, trap_margin(s.coeffs, 256.0)) for s in perturbed_run.snapshots]
 
     def test_scaled_violation_reported(self, perturbed_run):
         # artificially inflate the tail of one snapshot beyond the cone

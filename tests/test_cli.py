@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -13,12 +14,13 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pcsflow
 from pcsflow import cli
-from pcsflow.blowup import trap_margin
+from pcsflow.blowup import certify, trap_margin
 from pcsflow.errors import ConfigError, VersionError
 from pcsflow.geometry import polyline_csv, reconstruct_curve, render_svg
 from pcsflow.normalize import rescale_state, tau_of_t
-from pcsflow.spectral import FlowParams, SpectralState, seminorm, synthesize
+from pcsflow.spectral import FlowParams, SpectralState, coeff_seminorm, synthesize
 from pcsflow.stepping import RunStats, StepControl, Trajectory, integrate
 
 from conftest import make_state
@@ -134,7 +136,7 @@ class TestStrictConfig:
             ("init", 7, "init must be a mapping"),
             ("init", {"perturbation": 3}, "init.perturbation must be a mapping"),
             ("init", {"mean": 1.0, "harmonics": [5]}, "init.harmonics[] must be a mapping"),
-            ("output", {"formats": 5}, "output.formats must be a list"),
+            ("output", {"formats": ["jsonl"]}, "unknown key(s) ['formats'] in output"),
             ("params", {"p": 1, "lambda": "2/0", "n_max": 2}, "zero denominator"),
         ],
         ids=["params", "init", "perturbation", "harmonic", "formats", "lambda_over_zero"],
@@ -196,7 +198,7 @@ def small_configs(draw):
         "init": init,
         "control": {"k0_stop": draw(st.sampled_from([2.0, 10.0])), "snapshots_per_decade": 10},
         "analysis": {"tau_window": [2.0, 8.0]},
-        "output": {"directory": "out", "formats": ["jsonl"]},
+        "output": {"directory": "out"},
         "seed": 0,
     }
 
@@ -237,7 +239,7 @@ def round_trip_configs(draw):
             "snapshots_per_decade": draw(st.integers(1, 100)),
         },
         "analysis": {"c_override": draw(st.one_of(st.none(), st.floats(1.0, 1e3)))},
-        "output": {"directory": "out", "formats": ["jsonl"]},
+        "output": {"directory": "out"},
         "seed": draw(st.integers(0, 2**31)),
     }
 
@@ -366,9 +368,9 @@ def reference_metrics_csv(traj, c):
     for s in traj.snapshots:
         k0 = s.mean
         t_running = s.t + (p / (p + 1)) * k0 ** -(p + 1) if k0 > 0 else float("nan")
-        s2 = seminorm(s, 2.0)
-        margin = trap_margin(s, c)
-        sup_dev = float(np.max(np.abs(synthesize(s).values - k0)))
+        s2 = coeff_seminorm(s.coeffs, 2.0)
+        margin = trap_margin(s.coeffs, c)
+        sup_dev = float(np.max(np.abs(synthesize(s) - k0)))
         rows.append(f"{s.t:.17g},{k0:.17g},{t_running:.17g},{margin:.17g},{s2:.17g},{sup_dev:.17g}")
     return "\n".join(rows) + "\n"
 
@@ -396,6 +398,20 @@ class TestMetricsCsv:
         running = [row.split(",")[2] for row in text.splitlines()[1:]]
         assert running[1] == running[2] == "nan"
         assert "nan" not in running[:1] + running[3:]
+
+    def test_trap_margin_is_one_definition(self, pert_run):
+        # the stack, each row, certify and the written column agree bit for
+        # bit, and the integrator's per-step minimum is at most all of them
+        traj, _ = cli.read_trajectory(pert_run)
+        c = cli.select_c(traj.params)
+        margins = trap_margin(traj.coeffs, c).tolist()
+        assert margins == [trap_margin(row, c) for row in traj.coeffs]
+        assert margins == [m for _, m in certify(traj, c).margins]
+        with open(os.path.join(os.path.dirname(pert_run), "metrics.csv")) as fh:
+            header, *rows = fh.read().splitlines()
+        column = header.split(",").index("trap_margin")
+        assert margins == [float(row.split(",")[column]) for row in rows]
+        assert traj.stats.min_trap_margin <= min(margins)
 
 
 def assert_out_dir_error(code, captured):
@@ -885,6 +901,20 @@ def test_perturbed_simulate_leaves_scipy_unloaded(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
     assert out.strip().splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(pcsflow.__path__) if m.name != "__main__")
+)
+def test_submodule_imports_first(module):
+    """Each submodule imports on its own in a fresh process: no import cycle
+    (stepping imports blowup, whose ``Trajectory`` import is for annotations only)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", f"import pcsflow.{module}"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_module_entry_point_runs_cli():

@@ -141,7 +141,7 @@ class TestIntegratePerturbed:
     def test_trap_margin_checked_at_every_step(self, run):
         # the per-step minimum covers every snapshot and stays inside the cone
         assert run.stats.min_trap_margin >= 0.0
-        assert run.stats.min_trap_margin <= min(trap_margin(s, 256.0) for s in run.snapshots)
+        assert run.stats.min_trap_margin <= min(trap_margin(s.coeffs, 256.0) for s in run.snapshots)
 
     def test_rungs_landed_with_at_most_two_steps_each(self, run):
         ratio = 10 ** (1 / 40)
@@ -347,7 +347,7 @@ class TestIntegrateNormalized:
         traj = integrate_normalized(init, 5.0, StepControl())
         assert not traj.has_event("positivity_loss")
         assert traj.snapshots[-1].mean < 0.01
-        assert np.min(synthesize(traj.snapshots[-1], 64).values) > 0.0
+        assert np.min(synthesize(traj.snapshots[-1], 64)) > 0.0
 
     def test_normalized_blow_up_hits_step_floor(self):
         # super-equilibrium data blows up in finite tau; error control on the
@@ -391,7 +391,7 @@ class TestNormalizedLawsonAgainstDP5:
         pairs = list(zip(traj.snapshots[:-1], traj.snapshots[1:]))[::5]
         assert len(pairs) >= 4
         for start, end in pairs:
-            peak = max(float(synthesize(start).values.max()), 1.0)
+            peak = max(float(synthesize(start).max()), 1.0)
             cap = control.safety / (p * 4.0 * 16 * peak ** (p + 1))
             substeps = int(np.ceil((end.t - start.t) / cap)) + 1
             state = start
@@ -428,8 +428,8 @@ class TestTwoRouteConsistency:
         for u_direct in direct.snapshots[1:]:
             i = int(np.argmin(np.abs(np.array(taus) - u_direct.t)))
             assert abs(taus[i] - u_direct.t) < 1e-9
-            a = synthesize(rescaled[i], 64).values
-            b = synthesize(u_direct, 64).values
+            a = synthesize(rescaled[i], 64)
+            b = synthesize(u_direct, 64)
             worst = max(worst, float(np.max(np.abs(a - b))))
         assert worst < 1e-6
 

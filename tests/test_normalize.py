@@ -128,7 +128,7 @@ def reference_series(traj, T, cl_orders):
         u = s if T is None else rescale_state(s, T)
         n = np.arange(1, u.params.n_max + 1, dtype=np.float64)
         cl = [float(2.0 * np.sum((u.params.lam * n) ** l * np.abs(u.coeffs[1:]))) for l in cl_orders]
-        rows.append([u.t, float(np.max(np.abs(synthesize(u).values - u.mean))), abs(u.mean - 1.0), *cl])
+        rows.append([u.t, float(np.max(np.abs(synthesize(u) - u.mean))), abs(u.mean - 1.0), *cl])
     return np.array(rows).T
 
 

@@ -7,17 +7,15 @@ from pcsflow.checks import round_trip_defect
 from pcsflow.errors import GridTooSmallError
 from pcsflow.spectral import (
     FlowParams,
-    GridField,
     SpectralState,
     analyze_grid,
-    cl_deviation_bound,
+    coeff_cl_bound,
     coeff_seminorm,
     coeff_sup_deviation,
     grid_derivative_sup,
     lambda_threshold,
     next_fast_len,
     parse_lambda,
-    seminorm,
     synthesize,
 )
 
@@ -79,14 +77,14 @@ class TestSpectralState:
 
 class TestSynthesize:
     def test_constant(self):
-        field = synthesize(make_state(P14, {0: 1.0}), 16)
-        assert np.allclose(field.values, 1.0, rtol=0, atol=1e-15)
+        values = synthesize(make_state(P14, {0: 1.0}), 16)
+        assert np.allclose(values, 1.0, rtol=0, atol=1e-15)
 
     def test_cosine(self):
         # c[1] = 1/2 represents cos(lam*theta)
-        field = synthesize(make_state(P14, {1: 0.5}), 32)
-        expected = np.cos(P14.lam * field.thetas())
-        assert np.max(np.abs(field.values - expected)) < 1e-14
+        values = synthesize(make_state(P14, {1: 0.5}), 32)
+        expected = np.cos(P14.lam * np.arange(32) * (P14.period / 32))
+        assert np.max(np.abs(values - expected)) < 1e-14
 
     def test_grid_too_small(self):
         s = make_state(P14, {0: 1.0})
@@ -115,16 +113,15 @@ def test_next_fast_len_matches_scipy():
 
 class TestAnalyzeGrid:
     def test_constant_field(self):
-        field = GridField(P14, np.full(16, 2.5))
-        s = analyze_grid(field)
+        s = analyze_grid(P14, np.full(16, 2.5))
+        assert s.t == 0.0
         assert s.coeffs[0] == 2.5
         assert np.all(s.coeffs[1:] == 0.0)
 
     def test_cos_2lam_theta(self):
         params = FlowParams(p=1, lam=2.0, n_max=4)
         thetas = np.arange(16) * params.period / 16
-        field = GridField(params, np.cos(2 * params.lam * thetas))
-        s = analyze_grid(field)
+        s = analyze_grid(params, np.cos(2 * params.lam * thetas))
         assert abs(s.coeffs[2] - 0.5) < 1e-15
         others = np.abs(s.coeffs[[0, 1, 3, 4]])
         assert np.max(others) < 1e-15
@@ -133,27 +130,27 @@ class TestAnalyzeGrid:
         values = np.full(16, 1.0)
         values[3] = np.nan
         with pytest.raises(ValueError):
-            analyze_grid(GridField(P14, values))
+            analyze_grid(P14, values)
 
 
 class TestSeminorm:
     def test_constant_is_zero(self):
-        assert seminorm(make_state(P14, {0: 3.0}), 2.0) == 0.0
+        assert coeff_seminorm(make_state(P14, {0: 3.0}).coeffs, 2.0) == 0.0
 
     def test_cos_beta2(self):
-        assert seminorm(make_state(P14, {1: 0.5}), 2.0) == 0.5
+        assert coeff_seminorm(make_state(P14, {1: 0.5}).coeffs, 2.0) == 0.5
 
     def test_sin_2lam_beta2(self):
         # sin(2 lam theta) has c[2] = -i/2
-        assert seminorm(make_state(P14, {2: -0.5j}), 2.0) == 2.0
+        assert coeff_seminorm(make_state(P14, {2: -0.5j}).coeffs, 2.0) == 2.0
 
     def test_absolute_homogeneity(self, rng):
         s = random_trapped_state(FlowParams(p=1, lam=2.0, n_max=8), rng)
         for a in (-2.0, 0.5, 3.0):
             scaled = s.scaled(abs(a)) if a > 0 else s.with_coeffs(s.coeffs * a)
             for beta in (0.5, 2.0, 3.0):
-                assert seminorm(scaled, beta) == pytest.approx(
-                    abs(a) * seminorm(s, beta), rel=1e-14
+                assert coeff_seminorm(scaled.coeffs, beta) == pytest.approx(
+                    abs(a) * coeff_seminorm(s.coeffs, beta), rel=1e-14
                 )
 
     def test_stack_matches_row_by_row(self, rng):
@@ -163,23 +160,22 @@ class TestSeminorm:
             rows = coeff_seminorm(stack, beta)
             assert rows.shape == (7,)
             assert rows.tolist() == [coeff_seminorm(c, beta) for c in stack]
-            assert rows.tolist() == [seminorm(SpectralState(params, 0.0, c), beta) for c in stack]
 
 
 class TestClBound:
     def test_constant_zero(self):
         for l in (0, 1, 3):
-            assert cl_deviation_bound(make_state(P14, {0: 1.0}), l) == 0.0
+            assert coeff_cl_bound(make_state(P14, {0: 1.0}).coeffs, P14.lam, l) == 0.0
 
     def test_cos_l0(self):
         s = make_state(P14, {1: 0.5})
-        assert cl_deviation_bound(s, 0) == 1.0
+        assert coeff_cl_bound(s.coeffs, P14.lam, 0) == 1.0
         assert grid_derivative_sup(s, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_cos_l1_lam2(self):
         # d/dtheta cos(2 theta) peaks at 2
         s = make_state(P14, {1: 0.5})
-        assert cl_deviation_bound(s, 1) == 2.0
+        assert coeff_cl_bound(s.coeffs, P14.lam, 1) == 2.0
         assert grid_derivative_sup(s, 1) == pytest.approx(2.0, abs=1e-12)
 
     def test_bound_dominates_grid_sup(self, rng):
@@ -187,7 +183,7 @@ class TestClBound:
             params = FlowParams(p=1, lam=2.0, n_max=8)
             s = random_trapped_state(params, rng)
             for l in (0, 1, 2, 3):
-                assert grid_derivative_sup(s, l) <= cl_deviation_bound(s, l) + 1e-10
+                assert grid_derivative_sup(s, l) <= coeff_cl_bound(s.coeffs, params.lam, l) + 1e-10
 
 
 def test_lambda_threshold_values():
