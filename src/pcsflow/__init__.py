@@ -46,6 +46,7 @@ from .geometry import (
 from .normalize import (
     NormalizedSeries,
     fit_exponential,
+    normalized_frame,
     normalized_series,
     rescale_state,
     tau_of_t,

@@ -45,8 +45,8 @@ from .blowup import (
 )
 from .errors import AnalysisError, ConfigError, FlowError, TrajectoryError, VersionError
 from .geometry import PerturbationSpec, polyline_csv, radial_perturbation_curvature, reconstruct_curve, render_svg
-from .normalize import fit_exponential, normalized_series, rescale_state, tau_of_t
-from .rhs import rhs_convolution, rhs_direct, rhs_fast
+from .normalize import fit_exponential, normalized_frame, normalized_series
+from .rhs import DIRECT_N_MAX, DIRECT_P_MAX, rhs_convolution, rhs_direct, rhs_fast
 from .spectral import FlowParams, SpectralState, coeff_seminorm, coeff_sup_deviation, default_grid_size, parse_lambda
 from .stepping import RunStats, StepControl, Trajectory, integrate
 
@@ -99,7 +99,6 @@ class RunConfig:
     control: StepControl
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-    seed: int = 0
 
 
 def _require_keys(section: dict, allowed: set, where: str, required: tuple = ()):
@@ -213,30 +212,30 @@ def _parse_control(section: dict) -> StepControl:
 
 
 def _parse_analysis(section: dict) -> AnalysisConfig:
-    allowed = {"c_override", "power_window", "tau_window", "envelope_window", "rate_tolerance"}
-    _require_keys(section, allowed, "analysis")
+    _require_keys(section, {f.name for f in fields(AnalysisConfig)}, "analysis")
     kwargs = {}
     for key, value in section.items():
-        if key == "c_override":
-            kwargs[key] = None if value is None else _real(value, "analysis.c_override")
-            if value is not None and kwargs[key] <= 0.0:
-                raise ConfigError(f"analysis.c_override must be positive, got {value!r}")
-        elif key == "rate_tolerance":
-            kwargs[key] = _real(value, "analysis.rate_tolerance")
-        else:
-            kwargs[key] = _window(value, f"analysis.{key}")
+        where = f"analysis.{key}"
+        if key.endswith("_window"):
+            kwargs[key] = _window(value, where)
+        elif value is not None or key != "c_override":  # c_override: null keeps the default
+            kwargs[key] = _real(value, where)
+            if kwargs[key] <= 0.0:
+                raise ConfigError(f"{where} must be positive, got {value!r}")
     return AnalysisConfig(**kwargs)
 
 
 def _parse_output(section: dict) -> OutputConfig:
     _require_keys(section, {"directory"}, "output")
-    return OutputConfig(**{key: str(value) for key, value in section.items()})
+    if not isinstance(section.get("directory", ""), str):
+        raise ConfigError(f"output.directory must be text, got {section['directory']!r}")
+    return OutputConfig(**section)
 
 
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a mapping")
-    _require_keys(doc, {"params", "init", "control", "analysis", "output", "seed"}, "top level")
+    _require_keys(doc, {"params", "init", "control", "analysis", "output"}, "top level")
     for key in ("params", "init"):
         if key not in doc:
             raise ConfigError(f"section '{key}' is required")
@@ -246,7 +245,6 @@ def parse_config(doc: dict) -> RunConfig:
         control=_parse_control(doc.get("control", {})),
         analysis=_parse_analysis(doc.get("analysis", {})),
         output=_parse_output(doc.get("output", {})),
-        seed=_integer(doc.get("seed", 0), "seed"),
     )
 
 
@@ -303,7 +301,6 @@ def emit_config(config: RunConfig) -> dict:
         "control": asdict(config.control),
         "analysis": _plain(config.analysis),
         "output": _plain(config.output),
-        "seed": config.seed,
     }
 
 
@@ -626,10 +623,7 @@ def cmd_render(args) -> int:
             if args.normalized:
                 raise
     if args.normalized:
-        before = int(np.count_nonzero(ts < T_est))  # snapshot times increase: the first ones
-        if not before:
-            raise AnalysisError(f"no snapshot before the blow-up time T={T_est:.6g}")
-        axis = np.array([tau_of_t(t, T_est, params.p) for t in ts[:before].tolist()])
+        axis, u = normalized_frame(traj, T_est)
     else:
         axis = ts if T_est is None else np.log10(np.maximum(T_est - ts, 1e-300))
     if args.frames >= len(axis):  # as many frames as candidates: every one of them
@@ -637,7 +631,7 @@ def cmd_render(args) -> int:
     else:
         targets = np.linspace(axis[0], axis[-1], args.frames)
         picks = sorted({int(np.argmin(np.abs(axis - x))) for x in targets})
-    states = [rescale_state(snapshots[i], T_est) if args.normalized else snapshots[i] for i in picks]
+    states = [SpectralState(params, axis[i], u[i]) if args.normalized else snapshots[i] for i in picks]
     label = "tau={:.3f}" if args.normalized else "t={:.6f}"
     frames = [(label.format(s.t), reconstruct_curve(s, m)) for s in states]
 
@@ -754,19 +748,14 @@ def _time_call(fn, state) -> float:
     return best
 
 
-def bench_table(
-    n_values=(4, 8, 16, 32, 64, 128, 256),
-    p_values=(1, 2, 3),
-    seed: int = 0,
-    include_oracle: bool = True,
-) -> list[dict]:
+def bench_table(n_values=(4, 8, 16, 32, 64, 128, 256), p_values=(1, 2, 3), seed: int = 0) -> list[dict]:
     rows = []
     for state in _draws(seed, p_values, n_values, 1):
         p, n_max = state.params.p, state.params.n_max
         row = {"p": p, "n_max": n_max}
         row["fast_ns"] = _time_call(rhs_fast, state) * 1e9
         row["convolution_ns"] = _time_call(rhs_convolution, state) * 1e9
-        if include_oracle and n_max <= 12 and p <= 3:
+        if n_max <= DIRECT_N_MAX and p <= DIRECT_P_MAX:
             row["direct_ns"] = _time_call(rhs_direct, state) * 1e9
         rows.append(row)
     return rows

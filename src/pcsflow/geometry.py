@@ -60,25 +60,18 @@ class PerturbationSpec:
     def lam(self) -> float:
         return self.n / self.m
 
-    def phi(self, theta: np.ndarray, derivative: int = 0) -> np.ndarray:
+    def radius_derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(r, r', r'') at theta for r = 1 + delta * phi."""
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
+        phi = np.zeros((3, *theta.shape))
         for j, amp, phase in self.harmonics:
             w = j * self.lam
             arg = w * theta + phase
-            if derivative == 0:
-                out += amp * np.cos(arg)
-            elif derivative == 1:
-                out += -amp * w * np.sin(arg)
-            elif derivative == 2:
-                out += -amp * w**2 * np.cos(arg)
-            else:
-                raise ValueError("derivative order must be 0, 1 or 2")
-        return out
-
-    def radius(self, theta: np.ndarray, derivative: int = 0) -> np.ndarray:
-        base = 1.0 if derivative == 0 else 0.0
-        return base + self.delta * self.phi(theta, derivative)
+            cos = np.cos(arg)
+            phi[0] += amp * cos
+            phi[1] += -amp * w * np.sin(arg)
+            phi[2] += -amp * w**2 * cos
+        return 1.0 + self.delta * phi[0], self.delta * phi[1], self.delta * phi[2]
 
 
 @dataclass(frozen=True)
@@ -126,9 +119,9 @@ _NEWTON_STEPS = 100
 _GUARD_SAMPLES = 8192
 
 
-def _polar(spec: PerturbationSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(arctan(r'/r), nu'(theta), kappa(theta)) of the polar curve r(theta)."""
-    r, rp, rpp = spec.radius(theta), spec.radius(theta, 1), spec.radius(theta, 2)
+def _polar(r: np.ndarray, rp: np.ndarray, rpp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(arctan(r'/r), nu'(theta), kappa(theta)) of the polar curve r(theta)
+    from (r, r', r'') at theta."""
     q = r * r + rp * rp
     slope = (r * r + 2 * rp * rp - r * rpp) / q
     return np.arctan(rp / r), slope, slope / np.sqrt(q)
@@ -149,10 +142,10 @@ def radial_perturbation_curvature(spec: PerturbationSpec, params: FlowParams) ->
         raise ValueError(f"params.lam={params.lam} does not match spec n/m={spec.lam}")
     period = params.period
     th = np.arange(_GUARD_SAMPLES) * (period / _GUARD_SAMPLES)
-    r = spec.radius(th)
+    r, rp, rpp = spec.radius_derivatives(th)
     if np.min(r) <= 0:
         raise ValueError(f"delta={spec.delta} too large: radius reaches {np.min(r):.3e}")
-    kappa = _polar(spec, th)[2]
+    kappa = _polar(r, rp, rpp)[2]
     if np.min(kappa) <= 0:
         bad = th[int(np.argmin(kappa))]
         raise ValueError(
@@ -162,7 +155,7 @@ def radial_perturbation_curvature(spec: PerturbationSpec, params: FlowParams) ->
     nu_grid = np.arange(m_grid) * (period / m_grid)
     theta, tol = nu_grid.copy(), 4 * np.finfo(float).eps * period
     for _ in range(_NEWTON_STEPS):
-        offset, slope, _ = _polar(spec, theta)
+        offset, slope, _ = _polar(*spec.radius_derivatives(theta))
         step = (theta - offset - nu_grid) / slope
         theta -= step
         if np.max(np.abs(step)) <= tol:
@@ -172,7 +165,7 @@ def radial_perturbation_curvature(spec: PerturbationSpec, params: FlowParams) ->
             f"delta={spec.delta}: normal angle not inverted in {_NEWTON_STEPS} Newton steps "
             f"(last step {np.max(np.abs(step)):.3e})"
         )
-    return analyze_grid(params, _polar(spec, theta)[2])
+    return analyze_grid(params, _polar(*spec.radius_derivatives(theta))[2])
 
 
 @functools.lru_cache(maxsize=1)

@@ -28,6 +28,7 @@ __all__ = [
     "t_of_tau",
     "rescale_state",
     "unrescale_state",
+    "normalized_frame",
     "NormalizedSeries",
     "normalized_series",
     "fit_exponential",
@@ -69,6 +70,18 @@ def unrescale_state(state: SpectralState, T: float) -> SpectralState:
     return SpectralState(state.params, t, state.coeffs / scale_factor(p, T, t))
 
 
+def normalized_frame(traj: Trajectory, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """The snapshots before the blow-up time T in the normalized frame: their
+    taus and their rescaled coefficients u, stacked by row."""
+    p, ts = traj.params.p, traj.times
+    before = ts < T
+    if not before.any():
+        raise AnalysisError(f"no snapshot before the blow-up time T={T:.6g}")
+    ts = ts[before].tolist()
+    taus = np.array([tau_of_t(t, T, p) for t in ts])
+    return taus, traj.coeffs[before] * np.array([scale_factor(p, T, t) for t in ts])[:, None]
+
+
 @dataclass(frozen=True)
 class NormalizedSeries:
     """Deviation measures of the normalized profile along a trajectory."""
@@ -92,18 +105,10 @@ def normalized_series(
     optional C^l coefficient bounds, all in the normalized frame.
 
     With ``T`` given the trajectory is treated as an unnormalized blow-up run
-    and its snapshots before T are rescaled; with ``T=None`` it must already
-    be a normalized-flow trajectory (t is tau).
+    and its snapshots before T are rescaled (``normalized_frame``); with
+    ``T=None`` it must already be a normalized-flow trajectory (t is tau).
     """
-    taus, u = traj.times, traj.coeffs
-    if T is not None:
-        p = traj.params.p
-        before = taus < T
-        ts = taus[before].tolist()
-        taus = np.array([tau_of_t(t, T, p) for t in ts])
-        u = u[before] * np.array([scale_factor(p, T, t) for t in ts])[:, None]
-    if not len(taus):
-        raise AnalysisError("no snapshots below the blow-up time")
+    taus, u = (traj.times, traj.coeffs) if T is None else normalized_frame(traj, T)
     return NormalizedSeries(
         taus=taus,
         sup_dev=coeff_sup_deviation(u, default_grid_size(traj.params)),

@@ -174,7 +174,7 @@ def rhs_convolution(state: SpectralState) -> np.ndarray:
     return deriv
 
 
-def normalized_rhs(state: SpectralState, check_positivity: bool = True) -> np.ndarray:
+def normalized_rhs(state: SpectralState) -> np.ndarray:
     """Mode derivative of the normalized flow, p * rhs(u) - u.
 
     This is the polynomial form u_tau = p u^{p+1} u_thth
@@ -186,7 +186,7 @@ def normalized_rhs(state: SpectralState, check_positivity: bool = True) -> np.nd
     out = state.params.p * deriv - state.coeffs
     out[0] = out[0].real
     gmin = float(grid.min())
-    if check_positivity and gmin <= 0.0:
+    if gmin <= 0.0:
         raise PositivityError(
             f"normalized profile reached min {gmin:.3e} at t={state.t:.6g}; must stay positive"
         )

@@ -80,7 +80,6 @@ class StepControl:
     min_step: float = 1e-18
     k0_stop: float = 1e6
     snapshots_per_decade: int = 40
-    tau_snapshot_interval: float = 0.1
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "safety", "max_step", "min_step", "k0_stop"):
@@ -179,6 +178,9 @@ _GROW, _SHRINK = 5.0, 0.2
 
 # Accepted and rejected steps a run may take before it ends in a step_floor event.
 _MAX_STEPS = 2_000_000
+
+# Spacing in tau of the normalized flow's snapshots when no marks are given.
+_TAU_INTERVAL = 0.1
 
 
 def _controller_factor(err_norm: float) -> float:
@@ -415,7 +417,8 @@ def integrate_normalized(
     direction, so N = 0 on every circle.  L is refrozen at the new mean after
     each accepted step (the frozen linearization of exponential Rosenbrock
     methods; Hochbruck & Ostermann, Acta Numerica 19, 2010, 4).  Snapshots
-    land on multiples of tau_snapshot_interval, or on ``tau_snapshots``.
+    land on the marks ``tau_snapshots`` in (init.t, tau_horizon], else on the
+    multiples of 0.1 (``_TAU_INTERVAL``) and on tau_horizon.
     """
     control = control or StepControl()
     p, lam, n = init.params.p, init.params.lam, np.arange(1, init.params.n_max + 1)
@@ -440,9 +443,8 @@ def integrate_normalized(
     if tau_snapshots is not None:
         marks = sorted(t for t in tau_snapshots if state.t < t <= tau_horizon)
     else:
-        interval = control.tau_snapshot_interval
-        first = math.floor(state.t / interval) + 1
-        marks = [j * interval for j in range(first, int(tau_horizon / interval) + 1)]
+        first = math.floor(state.t / _TAU_INTERVAL) + 1
+        marks = [j * _TAU_INTERVAL for j in range(first, int(tau_horizon / _TAU_INTERVAL) + 1)]
         if not marks or marks[-1] < tau_horizon - 1e-12:
             marks.append(tau_horizon)
     on_mark = False

@@ -261,12 +261,12 @@ def test_criterion_09_hypothesis_boundary():
 
 
 def test_criterion_10_performance_scaling():
-    fast_rows = bench_table(n_values=(16, 32, 64, 128, 256), p_values=(1,), include_oracle=False)
+    fast_rows = bench_table(n_values=(16, 32, 64, 128, 256), p_values=(1,))
     fast_exp = scaling_exponent(fast_rows, "fast_ns", 1, n_range=(16, 256))
     assert fast_exp is not None and fast_exp <= 1.4
 
     # the direct path's quadratic work dominates call overhead from n ~ 128
-    direct_rows = bench_table(n_values=(128, 256, 512, 1024), p_values=(1,), include_oracle=False)
+    direct_rows = bench_table(n_values=(128, 256, 512, 1024), p_values=(1,))
     direct_exp = scaling_exponent(direct_rows, "convolution_ns", 1, n_range=(128, 1024))
     assert direct_exp is not None and 1.6 <= direct_exp <= 2.4
 

@@ -30,7 +30,6 @@ CONST_CONFIG = {
     "init": {"mean": 1.0, "harmonics": []},
     "control": {"rel_tol": 1e-12, "abs_tol": 1e-16, "k0_stop": 1e4},
     "output": {"directory": "out"},
-    "seed": 0,
 }
 
 PERT_CONFIG = {
@@ -45,7 +44,6 @@ PERT_CONFIG = {
     },
     "control": {"k0_stop": 1e4},
     "output": {"directory": "out"},
-    "seed": 0,
 }
 
 
@@ -138,8 +136,25 @@ class TestStrictConfig:
             ("init", {"mean": 1.0, "harmonics": [5]}, "init.harmonics[] must be a mapping"),
             ("output", {"formats": ["jsonl"]}, "unknown key(s) ['formats'] in output"),
             ("params", {"p": 1, "lambda": "2/0", "n_max": 2}, "zero denominator"),
+            ("output", {"directory": None}, "output.directory must be text, got None"),
+            ("output", {"directory": [1, 2]}, "output.directory must be text, got [1, 2]"),
+            ("output", {"directory": 5}, "output.directory must be text, got 5"),
+            ("seed", 0, "unknown key(s) ['seed'] in top level"),
+            ("control", {"tau_snapshot_interval": 0.1}, "unknown key(s) ['tau_snapshot_interval'] in control"),
         ],
-        ids=["params", "init", "perturbation", "harmonic", "formats", "lambda_over_zero"],
+        ids=[
+            "params",
+            "init",
+            "perturbation",
+            "harmonic",
+            "formats",
+            "lambda_over_zero",
+            "null_directory",
+            "list_directory",
+            "number_directory",
+            "seed",
+            "tau_snapshot_interval",
+        ],
     )
     def test_malformed_shape(self, tmp_path, capsys, section, value, message):
         doc = json.loads(json.dumps(CONST_CONFIG))
@@ -152,8 +167,16 @@ class TestStrictConfig:
             ("params", {"p": 1, "lambda": 2.0, "n_max": cli.MAX_N_MAX + 1}, "params.n_max must be at most"),
             ("analysis", {"c_override": 0.0}, "analysis.c_override must be positive"),
             ("analysis", {"c_override": -1.0}, "analysis.c_override must be positive"),
+            ("analysis", {"rate_tolerance": 0}, "analysis.rate_tolerance must be positive"),
+            ("analysis", {"rate_tolerance": -0.1}, "analysis.rate_tolerance must be positive"),
         ],
-        ids=["n_max_above_bound", "zero_c_override", "negative_c_override"],
+        ids=[
+            "n_max_above_bound",
+            "zero_c_override",
+            "negative_c_override",
+            "zero_rate_tolerance",
+            "negative_rate_tolerance",
+        ],
     )
     def test_out_of_range_value(self, tmp_path, capsys, section, value, message):
         doc = json.loads(json.dumps(CONST_CONFIG))
@@ -199,7 +222,6 @@ def small_configs(draw):
         "control": {"k0_stop": draw(st.sampled_from([2.0, 10.0])), "snapshots_per_decade": 10},
         "analysis": {"tau_window": [2.0, 8.0]},
         "output": {"directory": "out"},
-        "seed": 0,
     }
 
 
@@ -240,7 +262,6 @@ def round_trip_configs(draw):
         },
         "analysis": {"c_override": draw(st.one_of(st.none(), st.floats(1.0, 1e3)))},
         "output": {"directory": "out"},
-        "seed": draw(st.integers(0, 2**31)),
     }
 
 
@@ -590,6 +611,24 @@ class TestAnalyze:
     def test_malformed_snapshot_exit_4(self, pert_run, tmp_path, capsys, command, edit):
         self.assert_unreadable(capsys, edited_snapshot(pert_run, tmp_path, edit), "malformed record", command)
 
+    def test_header_echo_with_deleted_keys_gives_the_same_reports(self, pert_run, tmp_path, capsys):
+        # older files echo the since-deleted top-level seed and
+        # control.tau_snapshot_interval; nothing reads them
+        with open(pert_run) as fh:
+            header, *records = fh.read().splitlines()
+        old = json.loads(header)
+        assert "seed" not in old["config"] and "tau_snapshot_interval" not in old["config"]["control"]
+        old["config"]["seed"] = 0
+        old["config"]["control"]["tau_snapshot_interval"] = 0.1
+        path = tmp_path / "old.jsonl"
+        path.write_text("\n".join([json.dumps(old), *records]) + "\n")
+        for what in ("rates", "trap", "blowup", "normalized"):
+            reports = []
+            for traj in (pert_run, str(path)):
+                assert cli.main(["analyze", "--traj", traj, "--what", what]) == 0
+                reports.append(dict(json.loads(capsys.readouterr().out), source=None))
+            assert reports[0] == reports[1]
+
     def test_bool_coefficient_entry_is_read(self, pert_run, tmp_path, capsys):
         path = edited_snapshot(pert_run, tmp_path, lambda rec: rec["coeffs"][0].__setitem__(1, False))
         assert "false" in path.read_text()
@@ -855,7 +894,7 @@ class TestVerifyThreads:
 
 class TestBench:
     def test_smoke_table_and_exponent(self, capsys):
-        rows = cli.bench_table(n_values=(4, 8), p_values=(1,), include_oracle=True)
+        rows = cli.bench_table(n_values=(4, 8), p_values=(1,))
         assert {r["n_max"] for r in rows} == {4, 8}
         assert all("fast_ns" in r and "convolution_ns" in r and "direct_ns" in r for r in rows)
         exp = cli.scaling_exponent(rows, "convolution_ns", 1, n_range=(4, 8))

@@ -30,9 +30,10 @@ class TestPerturbationSpec:
     def test_radius_and_derivatives(self):
         spec = PerturbationSpec(m=2, n=7, delta=0.1, harmonics=((1, 1.0, 0.0),))
         th = np.linspace(0, 4 * np.pi, 64)
-        assert np.allclose(spec.radius(th), 1 + 0.1 * np.cos(3.5 * th))
-        assert np.allclose(spec.radius(th, 1), -0.35 * np.sin(3.5 * th))
-        assert np.allclose(spec.radius(th, 2), -0.1 * 3.5**2 * np.cos(3.5 * th))
+        r, rp, rpp = spec.radius_derivatives(th)
+        assert np.allclose(r, 1 + 0.1 * np.cos(3.5 * th))
+        assert np.allclose(rp, -0.35 * np.sin(3.5 * th))
+        assert np.allclose(rpp, -0.1 * 3.5**2 * np.cos(3.5 * th))
 
 
 class TestMfoldCurvature:
@@ -60,7 +61,7 @@ def theta_quadrature_coefficients(spec, params, points=4096):
     (1/N) sum_k kappa nu' exp(-i lam n nu(theta_k)) on a uniform theta-grid,
     spectrally accurate since the integrand is periodic in theta."""
     th = np.arange(points) * (params.period / points)
-    r, rp, rpp = spec.radius(th), spec.radius(th, 1), spec.radius(th, 2)
+    r, rp, rpp = spec.radius_derivatives(th)
     q = r * r + rp * rp
     nu_prime = (r * r + 2 * rp * rp - r * rpp) / q
     kappa = nu_prime / np.sqrt(q)

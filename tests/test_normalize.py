@@ -156,7 +156,7 @@ class TestNormalizedSeriesAgainstReference:
             assert series.cl_dev[l].tolist() == cl[l].tolist()
 
     def test_no_snapshot_before_T_raises(self, run):
-        with pytest.raises(AnalysisError, match="no snapshots below the blow-up time"):
+        with pytest.raises(AnalysisError, match="no snapshot before the blow-up time"):
             normalized_series(run, 0.0)
 
 

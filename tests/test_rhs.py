@@ -211,7 +211,6 @@ class TestNormalizedRhs:
         s = make_state(params, {0: 1.0, 1: 0.8})  # dips negative
         with pytest.raises(PositivityError):
             normalized_rhs(s)
-        normalized_rhs(s, check_positivity=False)  # polynomial eval still fine
 
 
 class TestRhsPlan:
