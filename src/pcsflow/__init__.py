@@ -48,9 +48,7 @@ from .normalize import (
     fit_exponential,
     normalized_frame,
     normalized_series,
-    rescale_state,
     tau_of_t,
-    unrescale_state,
 )
 from .rhs import h_kernel, normalized_rhs, rhs_convolution, rhs_direct, rhs_fast
 from .spectral import (

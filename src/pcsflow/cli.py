@@ -610,11 +610,10 @@ def cmd_render(args) -> int:
     out_dir = args.out or "render"
     _make_out_dir(out_dir)
     traj, header = read_trajectory(args.traj)
-    params = traj.params
-    if params.rational is None:
+    params, m = traj.params, traj.params.winding
+    if m is None:
         print("render requires a rational lambda tag (n/m); this trajectory has none", file=sys.stderr)
         return EXIT_RATIONAL
-    m = params.rational[1]
     snapshots, ts, T_est = traj.snapshots, traj.times, traj.T_est
     if T_est is None:
         try:

@@ -104,8 +104,8 @@ def mfold_curvature(m: int, params: FlowParams) -> SpectralState:
     """Curvature of the m-fold unit circle: k == 1."""
     if m < 1:
         raise ValueError("winding number m must be >= 1")
-    if params.rational is not None and params.rational[1] != m:
-        raise ValueError(f"params tag winding {params.rational[1]} != m={m}")
+    if params.winding not in (None, m):
+        raise ValueError(f"params tag winding {params.winding} != m={m}")
     coeffs = np.zeros(params.n_max + 1, dtype=np.complex128)
     coeffs[0] = 1.0
     return SpectralState(params, 0.0, coeffs)
@@ -192,10 +192,9 @@ def reconstruct_curve(
     phase table and the tangent field are built once per (lam, n_max, m,
     samples_per_turn) and reused by the next call with the same sizes.
     """
+    m = state.params.winding if m is None else m
     if m is None:
-        if state.params.rational is None:
-            raise ValueError("winding number required: pass m or use a rational lam tag")
-        m = state.params.rational[1]
+        raise ValueError("winding number required: pass m or use a rational lam tag")
     if samples_per_turn < 64:
         raise ValueError("need at least 64 samples per turn")
     nu, phases, tangent = _frame_grid(state.params.lam, state.params.n_max, m, samples_per_turn)

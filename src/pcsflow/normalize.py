@@ -19,15 +19,12 @@ import numpy as np
 
 from .blowup import RateFit, fit_loglinear
 from .errors import AnalysisError
-from .spectral import SpectralState, coeff_cl_bound, coeff_sup_deviation, default_grid_size
+from .spectral import coeff_cl_bound, coeff_sup_deviation, default_grid_size
 from .stepping import Trajectory
 
 __all__ = [
     "scale_factor",
     "tau_of_t",
-    "t_of_tau",
-    "rescale_state",
-    "unrescale_state",
     "normalized_frame",
     "NormalizedSeries",
     "normalized_series",
@@ -49,35 +46,17 @@ def tau_of_t(t: float, T: float, p: int) -> float:
     return -math.log1p(-t / T) / (p + 1)
 
 
-def t_of_tau(tau: float, T: float, p: int) -> float:
-    """Inverse of tau_of_t: t = T (1 - exp(-(p+1) tau))."""
-    if tau < 0:
-        raise ValueError(f"tau={tau} must be nonnegative")
-    return -T * math.expm1(-(p + 1) * tau)
-
-
-def rescale_state(state: SpectralState, T: float) -> SpectralState:
-    """Map an unnormalized snapshot to the normalized frame (u, tau)."""
-    p = state.params.p
-    factor = scale_factor(p, T, state.t)
-    return SpectralState(state.params, tau_of_t(state.t, T, p), state.coeffs * factor)
-
-
-def unrescale_state(state: SpectralState, T: float) -> SpectralState:
-    """Inverse of rescale_state: (u, tau) back to (k, t)."""
-    p = state.params.p
-    t = t_of_tau(state.t, T, p)
-    return SpectralState(state.params, t, state.coeffs / scale_factor(p, T, t))
-
-
 def normalized_frame(traj: Trajectory, T: float) -> tuple[np.ndarray, np.ndarray]:
     """The snapshots before the blow-up time T in the normalized frame: their
-    taus and their rescaled coefficients u, stacked by row."""
+    taus and their rescaled coefficients u, stacked by row.  The one map into
+    the frame; tau is defined from t = 0 on."""
     p, ts = traj.params.p, traj.times
     before = ts < T
     if not before.any():
         raise AnalysisError(f"no snapshot before the blow-up time T={T:.6g}")
     ts = ts[before].tolist()
+    if ts[0] < 0.0:
+        raise AnalysisError(f"snapshot at t={ts[0]:.6g} before t=0, where the normalized frame starts")
     taus = np.array([tau_of_t(t, T, p) for t in ts])
     return taus, traj.coeffs[before] * np.array([scale_factor(p, T, t) for t in ts])[:, None]
 

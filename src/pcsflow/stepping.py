@@ -85,6 +85,8 @@ class StepControl:
         for name in ("rel_tol", "abs_tol", "safety", "max_step", "min_step", "k0_stop"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.min_step > self.max_step:
+            raise ValueError("min_step must not exceed max_step")
         if self.rel_tol < 1e-13:
             raise ValueError("rel_tol below 1e-13 is round-off dominated")
         if self.safety > 1.0:
@@ -181,6 +183,9 @@ _MAX_STEPS = 2_000_000
 
 # Spacing in tau of the normalized flow's snapshots when no marks are given.
 _TAU_INTERVAL = 0.1
+
+# Gap in tau within which a step lands on a mark, and two marks count as one.
+_MARK_TOL = 1e-12
 
 
 def _controller_factor(err_norm: float) -> float:
@@ -418,7 +423,9 @@ def integrate_normalized(
     each accepted step (the frozen linearization of exponential Rosenbrock
     methods; Hochbruck & Ostermann, Acta Numerica 19, 2010, 4).  Snapshots
     land on the marks ``tau_snapshots`` in (init.t, tau_horizon], else on the
-    multiples of 0.1 (``_TAU_INTERVAL``) and on tau_horizon.
+    multiples of 0.1 (``_TAU_INTERVAL``) and on tau_horizon; marks within
+    1e-12 of the one before (or of the start) count once, and the run ends on
+    its last mark.
     """
     control = control or StepControl()
     p, lam, n = init.params.p, init.params.lam, np.arange(1, init.params.n_max + 1)
@@ -440,18 +447,17 @@ def integrate_normalized(
     core = _Stepper(state.params, np.append(state.coeffs, state.t), control, rhs, rates)
     traj = Trajectory(params=init.params, snapshots=[state])
 
-    if tau_snapshots is not None:
-        marks = sorted(t for t in tau_snapshots if state.t < t <= tau_horizon)
-    else:
-        first = math.floor(state.t / _TAU_INTERVAL) + 1
-        marks = [j * _TAU_INTERVAL for j in range(first, int(tau_horizon / _TAU_INTERVAL) + 1)]
-        if not marks or marks[-1] < tau_horizon - 1e-12:
-            marks.append(tau_horizon)
+    if tau_snapshots is None:
+        tau_snapshots = [j * _TAU_INTERVAL for j in range(1, int(tau_horizon / _TAU_INTERVAL) + 1)] + [tau_horizon]
+    marks = []  # each more than _MARK_TOL past the mark before it, or past the start
+    for mark in sorted(t for t in tau_snapshots if t <= tau_horizon):
+        if mark > (marks[-1] if marks else state.t) + _MARK_TOL:
+            marks.append(mark)
     on_mark = False
 
     def clip(h: float) -> float:
         nonlocal on_mark
-        on_mark = bool(marks) and core.t + h >= marks[0] - 1e-12
+        on_mark = core.t + h >= marks[0] - _MARK_TOL
         return marks[0] - core.t if on_mark else h
 
     def settle(trial: _Trial) -> bool:
@@ -467,5 +473,5 @@ def integrate_normalized(
             marks.pop(0)
         return on_mark
 
-    core.run(traj, control.max_step, lambda: core.t >= tau_horizon - 1e-12, settle, clip)
+    core.run(traj, control.max_step, lambda: not marks, settle, clip)
     return traj

@@ -31,7 +31,7 @@ from pcsflow.geometry import (
     radial_perturbation_curvature,
     reconstruct_curve,
 )
-from pcsflow.normalize import fit_exponential, normalized_series, rescale_state, tau_of_t
+from pcsflow.normalize import fit_exponential, normalized_frame, normalized_series
 from pcsflow.spectral import FlowParams, SpectralState, synthesize
 from pcsflow.stepping import StepControl, integrate, integrate_normalized
 
@@ -95,9 +95,9 @@ def test_criterion_01_exact_blow_up(constant_runs):
         worst_T = max(worst_T, defect)
         # rescale where the check is well conditioned: integration error
         # amplifies as (k0/a)^{p+1}, so test just after one doubling
-        snap = next(s for s in traj.snapshots if s.mean >= 2 * a)
-        u = rescale_state(snap, exact_blowup_time(p, a))
-        dev = float(np.max(np.abs(synthesize(u, 64) - 1.0)))
+        i = next(i for i, s in enumerate(traj.snapshots) if s.mean >= 2 * a)
+        taus, u = normalized_frame(traj, exact_blowup_time(p, a))
+        dev = float(np.max(np.abs(synthesize(SpectralState(traj.params, taus[i], u[i]), 64) - 1.0)))
         worst_u = max(worst_u, dev)
         assert defect <= 1e-6
         assert dev <= 1e-10
@@ -220,22 +220,19 @@ def test_criterion_08_geometry(run_geometry):
 
     traj = run_geometry
     T_est, _ = estimate_T(traj)
-    taus = np.array([tau_of_t(s.t, T_est, 1) for s in traj.snapshots if s.t < T_est])
-    frames = []
-    for target in np.linspace(0.25, 5.0, 8):
-        i = int(np.argmin(np.abs(taus - target)))
-        frames.append(reconstruct_curve(rescale_state(traj.snapshots[i], T_est), 2))
+    taus, u = normalized_frame(traj, T_est)
+
+    def curve(i):
+        return reconstruct_curve(SpectralState(traj.params, taus[i], u[i]), 2)
+
+    frames = [curve(int(np.argmin(np.abs(taus - target)))) for target in np.linspace(0.25, 5.0, 8)]
     worst_closure = max(f.closure_residual / f.diameter for f in frames)
     assert worst_closure <= 1e-8
-    i5 = int(np.argmin(np.abs(taus - 5.0)))
-    tail = hausdorff_to_circle(reconstruct_curve(rescale_state(traj.snapshots[i5], T_est), 2))
+    tail = hausdorff_to_circle(curve(int(np.argmin(np.abs(taus - 5.0)))))
     assert tail <= 1e-3
     # circle deviation shrinks monotonically once the transient is gone
     picks = sorted({int(np.argmin(np.abs(taus - x))) for x in np.arange(1.0, 5.01, 0.5)})
-    devs = [
-        hausdorff_to_circle(reconstruct_curve(rescale_state(traj.snapshots[i], T_est), 2))
-        for i in picks
-    ]
+    devs = [hausdorff_to_circle(curve(i)) for i in picks]
     assert all(b <= a + 1e-9 for a, b in zip(devs, devs[1:]))
     announce(
         8,

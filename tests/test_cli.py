@@ -19,7 +19,7 @@ from pcsflow import cli
 from pcsflow.blowup import certify, trap_margin
 from pcsflow.errors import ConfigError, VersionError
 from pcsflow.geometry import polyline_csv, reconstruct_curve, render_svg
-from pcsflow.normalize import rescale_state, tau_of_t
+from pcsflow.normalize import scale_factor, tau_of_t
 from pcsflow.spectral import FlowParams, SpectralState, coeff_seminorm, synthesize
 from pcsflow.stepping import RunStats, StepControl, Trajectory, integrate
 
@@ -169,6 +169,7 @@ class TestStrictConfig:
             ("analysis", {"c_override": -1.0}, "analysis.c_override must be positive"),
             ("analysis", {"rate_tolerance": 0}, "analysis.rate_tolerance must be positive"),
             ("analysis", {"rate_tolerance": -0.1}, "analysis.rate_tolerance must be positive"),
+            ("control", {"min_step": 1.0e-2, "max_step": 1.0e-3}, "control: min_step must not exceed max_step"),
         ],
         ids=[
             "n_max_above_bound",
@@ -176,6 +177,7 @@ class TestStrictConfig:
             "negative_c_override",
             "zero_rate_tolerance",
             "negative_rate_tolerance",
+            "min_step_above_max_step",
         ],
     )
     def test_out_of_range_value(self, tmp_path, capsys, section, value, message):
@@ -459,6 +461,19 @@ def edited_trajectory(pert_run, tmp_path, keep=None, **trailer):
     lines[-1] = json.dumps(dict(json.loads(lines[-1]), **trailer))
     path = tmp_path / "edited.jsonl"
     path.write_text("\n".join(keep(lines) if keep else lines) + "\n")
+    return path
+
+
+def shifted_trajectory(pert_run, tmp_path, shift):
+    """A copy of the trajectory file with every snapshot time and the
+    trailer's T_est moved by ``shift``."""
+    with open(pert_run) as fh:
+        header, *snapshots, trailer = [json.loads(line) for line in fh.read().splitlines()]
+    for rec in snapshots:
+        rec["t"] += shift
+    trailer["T_est"] += shift
+    path = tmp_path / "shifted.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in [header, *snapshots, trailer]))
     return path
 
 
@@ -776,13 +791,29 @@ class TestRender:
         code = cli.main(["render", "--traj", pert_run, "--frames", "2", "--out", str(blocker / "out")])
         assert_out_dir_error(code, capsys.readouterr())
 
-    @pytest.mark.parametrize("T_est", [0, -1])
-    def test_normalized_without_snapshot_before_T_exit_1(self, pert_run, tmp_path, capsys, T_est):
-        path = edited_trajectory(pert_run, tmp_path, T_est=T_est)
-        code = cli.main(["render", "--traj", str(path), "--normalized", "--out", str(tmp_path / "frames")])
+    @pytest.mark.parametrize(
+        "command,edit,message",
+        [
+            (("render", "--normalized"), {"T_est": 0}, "no snapshot before the blow-up time"),
+            (("render", "--normalized"), {"T_est": -1}, "no snapshot before the blow-up time"),
+            (("render", "--normalized"), {"shift": -0.05}, "snapshot at t=-0.05 before t=0"),
+            (("normalize",), {"shift": -0.05}, "snapshot at t=-0.05 before t=0"),
+            (("analyze", "--what", "normalized"), {"shift": -0.05}, "snapshot at t=-0.05 before t=0"),
+        ],
+        ids=["0", "-1", "negative_start_render", "negative_start_normalize", "negative_start_analyze"],
+    )
+    def test_normalized_without_snapshot_before_T_exit_1(self, pert_run, tmp_path, capsys, command, edit, message):
+        # the normalized frame needs a snapshot in [0, T); a shift moves every
+        # snapshot time and the trailer's T_est
+        if "shift" in edit:
+            path = shifted_trajectory(pert_run, tmp_path, edit["shift"])
+        else:
+            path = edited_trajectory(pert_run, tmp_path, **edit)
+        extra = ["--out", str(tmp_path / "frames")] if command[0] == "render" else []
+        code = cli.main([command[0], "--traj", str(path), *command[1:], *extra])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert err.startswith("error: no snapshot before the blow-up time") and err.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @staticmethod
@@ -824,8 +855,9 @@ class TestRender:
         _, axis = self.frame_axis(traj, normalized)
         picks = sorted({int(np.argmin(np.abs(axis - x))) for x in np.linspace(axis[0], axis[-1], 8)})
         states = [traj.snapshots[i] for i in picks]
-        if normalized:
-            states = [rescale_state(s, traj.T_est) for s in states]
+        if normalized:  # the frame map, spelled out per snapshot
+            T, p = traj.T_est, traj.params.p
+            states = [SpectralState(s.params, tau_of_t(s.t, T, p), s.coeffs * scale_factor(p, T, s.t)) for s in states]
         label = "tau={:.3f}" if normalized else "t={:.6f}"
         frames = [(label.format(s.t), reconstruct_curve(s, 2)) for s in states]
         out = tmp_path / "frames"

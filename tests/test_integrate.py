@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from pcsflow.blowup import estimate_T, select_c, trap_margin
 from pcsflow.checks import blowup_time_defect, exact_blowup_time
 from pcsflow.errors import PositivityError
-from pcsflow.normalize import rescale_state
+from pcsflow.normalize import normalized_frame
 from pcsflow.rhs import normalized_rhs
 from pcsflow.spectral import FlowParams, SpectralState, synthesize
 from pcsflow.stepping import StepControl, Trajectory, integrate, integrate_normalized, step
@@ -60,6 +61,8 @@ class TestStepControl:
             StepControl(safety=1.5)
         with pytest.raises(ValueError):
             StepControl(abs_tol=-1.0)
+        with pytest.raises(ValueError, match="min_step must not exceed max_step"):
+            StepControl(min_step=1e-2, max_step=1e-3)
 
 
 class TestIntegrateConstant:
@@ -293,20 +296,42 @@ class TestIntegrateNormalized:
         assert abs(final.mean - 1.0) < 1e-12
         assert np.all(final.coeffs[1:] == 0.0)
 
-    def test_snapshots_on_tau_marks(self):
+    @pytest.mark.parametrize(
+        "tau0,horizon,marks",
+        [
+            (0.0, 0.5, [0.1, 0.2, 0.30000000000000004, 0.4, 0.5]),
+            (0.0, 0.35, [0.1, 0.2, 0.30000000000000004, 0.35]),
+            (0.25, 1.0, [0.30000000000000004, 0.4, 0.5, 0.6000000000000001, 0.7000000000000001, 0.8, 0.9, 1.0]),
+            (0.0, 8.5, [j * 0.1 for j in range(1, 86)]),
+        ],
+        ids=["to_0.5", "to_0.35", "from_0.25", "to_8.5"],
+    )
+    def test_snapshots_on_tau_marks(self, tau0, horizon, marks):
+        # the multiples of 0.1 past the start, and the horizon; each snapshot
+        # is the step landed on its mark
         params = FlowParams(p=1, lam=2.0, n_max=4)
-        init = make_state(params, {0: 1.0, 1: 0.0025})
-        traj = integrate_normalized(init, 0.5, StepControl(), renormalize_mean=True)
-        marks = np.array([s.t for s in traj.snapshots[1:]])
-        assert np.allclose(marks, np.arange(1, 6) * 0.1, atol=1e-12)
+        init = make_state(params, {0: 1.0, 1: 0.0025}, t=tau0)
+        traj = integrate_normalized(init, horizon, StepControl(), renormalize_mean=True)
+        assert [s.t for s in traj.snapshots[1:]] == pytest.approx(marks, rel=0.0, abs=1e-12)
+        assert traj.events == []
 
-    def test_explicit_tau_snapshots(self):
+    @pytest.mark.parametrize(
+        "wanted,marks",
+        [([0.123, 0.456, 0.7], [0.123, 0.456, 0.7]), ([0.2, 0.2, 0.5], [0.2, 0.5]), ([0.2, 0.5], [0.2, 0.5])],
+        ids=["spread", "repeated_mark", "last_mark_before_horizon"],
+    )
+    def test_explicit_tau_snapshots(self, wanted, marks):
+        # a repeated mark counts once, and the run ends on its last mark: to
+        # horizon 0.8 it is the run to that mark, bit for bit and step for step
         params = FlowParams(p=1, lam=2.0, n_max=4)
         init = make_state(params, {0: 1.0, 1: 0.0025})
-        wanted = [0.123, 0.456, 0.7]
         traj = integrate_normalized(init, 0.8, StepControl(), tau_snapshots=wanted)
-        got = [s.t for s in traj.snapshots[1:]]
-        assert got == pytest.approx(wanted, abs=1e-12)
+        assert [s.t for s in traj.snapshots[1:]] == pytest.approx(marks, rel=0.0, abs=1e-12)
+        assert traj.events == []
+        to_last = integrate_normalized(init, marks[-1], StepControl(), tau_snapshots=wanted)
+        assert traj.times.tolist() == to_last.times.tolist()
+        assert traj.coeffs.tolist() == to_last.coeffs.tolist()
+        assert replace(traj.stats, wall_s=0.0) == replace(to_last.stats, wall_s=0.0)
 
     def test_renormalized_mean_pinned(self):
         params = FlowParams(p=1, lam=2.0, n_max=4)
@@ -409,17 +434,12 @@ class TestTwoRouteConsistency:
         init = make_state(params, {0: 1.0, 1: 5e-4})
         traj = integrate(init, StepControl(rel_tol=1e-12, abs_tol=1e-16, k0_stop=1e6))
         T, _ = estimate_T(traj)
-        taus, rescaled = [], []
-        for s in traj.snapshots:
-            if s.t >= T:
-                continue
-            u = rescale_state(s, T)
-            if 0.0 < u.t <= 2.0:
-                taus.append(u.t)
-                rescaled.append(u)
+        frame_taus, u = normalized_frame(traj, T)
+        keep = (0.0 < frame_taus) & (frame_taus <= 2.0)
+        taus, rescaled = frame_taus[keep].tolist(), u[keep]
         assert len(taus) >= 20
         direct = integrate_normalized(
-            rescale_state(traj.snapshots[0], T),
+            SpectralState(params, frame_taus[0], u[0]),
             taus[-1],
             StepControl(rel_tol=1e-12, abs_tol=1e-16),
             tau_snapshots=taus,
@@ -428,7 +448,7 @@ class TestTwoRouteConsistency:
         for u_direct in direct.snapshots[1:]:
             i = int(np.argmin(np.abs(np.array(taus) - u_direct.t)))
             assert abs(taus[i] - u_direct.t) < 1e-9
-            a = synthesize(rescaled[i], 64)
+            a = synthesize(SpectralState(params, taus[i], rescaled[i]), 64)
             b = synthesize(u_direct, 64)
             worst = max(worst, float(np.max(np.abs(a - b))))
         assert worst < 1e-6

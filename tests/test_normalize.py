@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from pcsflow.errors import AnalysisError
-from pcsflow.normalize import (
-    fit_exponential,
-    normalized_series,
-    rescale_state,
-    scale_factor,
-    t_of_tau,
-    tau_of_t,
-    unrescale_state,
-)
+from pcsflow.normalize import fit_exponential, normalized_frame, normalized_series, scale_factor, tau_of_t
 from pcsflow.spectral import FlowParams, SpectralState, synthesize
 from pcsflow.stepping import StepControl, Trajectory, integrate
 
@@ -47,11 +39,11 @@ class TestTau:
         with pytest.raises(ValueError):
             tau_of_t(-0.1, 0.5, 1)
 
-    def test_round_trip_with_inverse(self):
-        # conditioning: t sits within eps*T of T once tau is large, so the
-        # recovered tau smears by ~eps*T/(T-t); stay in the well-posed range
-        for tau in (0.0, 0.3, 2.0, 5.0):
-            assert tau_of_t(t_of_tau(tau, 0.5, 2), 0.5, 2) == pytest.approx(tau, abs=1e-10)
+
+def one_snapshot(state):
+    traj = Trajectory(params=state.params)
+    traj.append(state)
+    return traj
 
 
 class TestRescale:
@@ -61,9 +53,9 @@ class TestRescale:
             params = FlowParams(p=p, lam=2.0, n_max=4)
             T, t = 0.5, 0.25
             k0 = (p / ((p + 1) * (T - t))) ** (1.0 / (p + 1))
-            u = rescale_state(make_state(params, {0: k0}, t=t), T)
-            assert u.mean == pytest.approx(1.0, rel=1e-14)
-            assert u.t == pytest.approx(tau_of_t(t, T, p))
+            taus, u = normalized_frame(one_snapshot(make_state(params, {0: k0}, t=t)), T)
+            assert u[0, 0].real == pytest.approx(1.0, rel=1e-14)
+            assert taus[0] == pytest.approx(tau_of_t(t, T, p))
 
     def test_p1_worked_example(self):
         # T=1/2, t=1/4: k0 = sqrt(2), factor = sqrt(2*(T-t)) -> u0 = 1
@@ -71,20 +63,10 @@ class TestRescale:
 
     def test_mode_ratios_invariant(self):
         s = make_state(P18, {0: 2.0, 1: 0.01 + 0.005j, 3: -0.002j}, t=0.1)
-        u = rescale_state(s, 0.5)
+        _, u = normalized_frame(one_snapshot(s), 0.5)
         ratios_before = s.coeffs[1:] / s.mean
-        ratios_after = u.coeffs[1:] / u.mean
+        ratios_after = u[0, 1:] / u[0, 0]
         assert np.allclose(ratios_before, ratios_after, rtol=1e-14)
-
-    def test_unrescale_round_trip(self):
-        s = make_state(P18, {0: 2.0, 1: 0.01}, t=0.3)
-        back = unrescale_state(rescale_state(s, 0.5), 0.5)
-        assert back.t == pytest.approx(0.3, abs=1e-12)
-        assert np.max(np.abs(back.coeffs - s.coeffs)) < 1e-12
-
-    def test_rejects_time_past_T(self):
-        with pytest.raises(ValueError):
-            rescale_state(make_state(P18, {0: 1.0}, t=0.6), 0.5)
 
 
 class TestNormalizedSeries:
@@ -125,7 +107,8 @@ def reference_series(traj, T, cl_orders):
     for s in traj.snapshots:
         if T is not None and s.t >= T:
             continue
-        u = s if T is None else rescale_state(s, T)
+        p = s.params.p  # the frame map, spelled out per snapshot
+        u = s if T is None else SpectralState(s.params, tau_of_t(s.t, T, p), s.coeffs * scale_factor(p, T, s.t))
         n = np.arange(1, u.params.n_max + 1, dtype=np.float64)
         cl = [float(2.0 * np.sum((u.params.lam * n) ** l * np.abs(u.coeffs[1:]))) for l in cl_orders]
         rows.append([u.t, float(np.max(np.abs(synthesize(u) - u.mean))), abs(u.mean - 1.0), *cl])
