@@ -344,7 +344,7 @@ def write_trajectory(path: str, traj: Trajectory, config_echo: dict):
                 "kind": "snapshot",
                 "t": s.t,
                 "k0": s.mean,
-                "coeffs": [[float(c.real), float(c.imag)] for c in s.coeffs],
+                "coeffs": s.coeffs.view(np.float64).reshape(-1, 2).tolist(),
             }
             fh.write(json.dumps(rec) + "\n")
         trailer = {

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PositivityError
 from .spectral import FlowParams, SpectralState, analyze_grid, next_fast_len
 
 __all__ = [
@@ -200,7 +201,7 @@ def reconstruct_curve(
     nu, phases, tangent = _frame_grid(state.params.lam, state.params.n_max, m, samples_per_turn)
     k = state.mean + 2.0 * np.real(phases @ state.coeffs[1:])
     if np.min(k) <= 0:
-        raise ValueError(f"curvature must be positive to reconstruct; min {np.min(k):.3e}")
+        raise PositivityError(f"curvature must be positive to reconstruct; min {np.min(k):.3e}")
     ds = 1.0 / k
     integrand = tangent * ds[:, None]
     h = nu[1] - nu[0]

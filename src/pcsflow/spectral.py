@@ -77,19 +77,16 @@ class FlowParams:
         if not isinstance(self.n_max, int) or self.n_max < 1:
             raise ValueError(f"n_max must be a positive integer, got {self.n_max!r}")
         lam = self.lam
+        if lam is None:
+            raise ValueError("lam is required")
         if self.rational is not None:
             n, m = self.rational
             if not (isinstance(n, int) and isinstance(m, int) and n > 0 and m > 0):
                 raise ValueError(f"rational tag must be positive integers, got {self.rational!r}")
             if math.gcd(n, m) != 1:
                 raise ValueError(f"rational tag {n}/{m} is not reduced")
-            if lam is None:
-                lam = n / m
-                object.__setattr__(self, "lam", lam)
-            elif abs(lam - n / m) > 1e-12 * max(1.0, abs(lam)):
+            if abs(lam - n / m) > 1e-12 * max(1.0, abs(lam)):
                 raise ValueError(f"lam={lam} does not match rational tag {n}/{m}")
-        if lam is None:
-            raise ValueError("lam is required when no rational tag is given")
         if not (lam > lambda_threshold(self.p)):
             raise ValueError(
                 f"lam={lam} must exceed sqrt((p+2)/p)={lambda_threshold(self.p):.6f} for p={self.p}"

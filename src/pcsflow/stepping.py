@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blowup import trap_margin
+from .blowup import _LANDING_TOL, trap_margin
 from .errors import IntegrationError, PositivityError
 from .rhs import RhsPlan, diagonal_rates, rhs_fast
 from .spectral import SpectralState
@@ -196,9 +196,6 @@ def _controller_factor(err_norm: float) -> float:
 # point y, the seven stages (ks[6] is N(y)), the padded-grid profile of y and
 # the scaled error norm.
 _Trial = namedtuple("_Trial", "h y ks grid err")
-
-# Relative gap to a rung within which a landing step counts as on it.
-_LANDING_TOL = 1e-12
 
 
 class _Stepper:

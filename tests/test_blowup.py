@@ -143,6 +143,15 @@ class TestEstimateT:
         with pytest.raises(AnalysisError):
             estimate_T(traj)
 
+    def test_uncertainty_covers_shallow_estimate_on_cone_edge_data(self):
+        # modes 1-3 on the edge of the cone of select_c / 32, far outside the
+        # certified one: a correction term to the straight line is largest here
+        c = select_c(P18) / 32
+        init = make_state(P18, {0: 1.0, **{n: (1 - 0.5j) / (c * n**2) for n in (1, 2, 3)}})
+        T_shallow, unc = estimate_T(integrate(init, StepControl(k0_stop=1e3)))
+        T_deep, _ = estimate_T(integrate(init, StepControl(k0_stop=1e5)))
+        assert abs(T_shallow - T_deep) <= unc
+
 
 class TestFitPower:
     def test_synthetic_power_law(self):

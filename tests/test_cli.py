@@ -99,6 +99,14 @@ class TestConfig:
         state2 = cli.initial_state(config2)
         assert state2.coeffs[1] == pytest.approx(0.0025 - 0.001j)
 
+    def test_readme_example_parses_and_builds_its_state(self):
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+            block = fh.read().split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = cli.parse_config(yaml.safe_load(block))
+        state = cli.initial_state(config)
+        assert state.params == config.params and state.params.rational == (7, 2)
+        assert state.mean > 0
+
 
 class TestStrictConfig:
     """Malformed values end in exit 1 with one stderr line and no files."""
@@ -519,6 +527,22 @@ class TestAnalyze:
         assert abs(report["sup_rate"] - beta) <= 0.1 * beta
         assert report["pass"] is True
 
+    def test_run_landed_just_below_1e3_is_analysed(self, tmp_path, capsys):
+        # the blow-up stop takes a last rung landed 4.5e-15 relative below k0_stop
+        doc = {
+            "params": {"p": 3, "lambda": "2", "n_max": 8},
+            "init": {"mean": 1.0, "harmonics": [{"n": 1, "cos": 0.005}]},
+            "control": {"k0_stop": 1.0e3, "snapshots_per_decade": 20},
+        }
+        code, traj_path = run_simulation(tmp_path, doc)
+        assert code == cli.EXIT_OK
+        traj, _ = cli.read_trajectory(traj_path)
+        assert traj.k0.max() < 1e3
+        assert traj.T_est is not None and math.isfinite(traj.T_est)
+        for what in ("blowup", "rates", "trap", "normalized"):
+            assert cli.main(["analyze", "--traj", traj_path, "--what", what]) == cli.EXIT_OK
+        capsys.readouterr()
+
     def test_report_written_to_out_dir(self, pert_run, tmp_path, capsys):
         out = str(tmp_path / "reports")
         assert cli.main(["analyze", "--traj", pert_run, "--what", "trap", "--out", out]) == 0
@@ -567,8 +591,9 @@ class TestAnalyze:
             ("config", ["analysis"], "header config is not a mapping"),
             ("params", None, "malformed record"),
             ("params", [1, 2], "malformed record"),
+            ("params", {"p": 1, "lambda": None, "rational": [7, 2], "n_max": 8}, "malformed record"),
         ],
-        ids=["config_null", "config_list", "params_null", "params_list"],
+        ids=["config_null", "config_list", "params_null", "params_list", "lambda_null"],
     )
     def test_malformed_header_exit_4(self, pert_run, tmp_path, capsys, field, value, message):
         bad = self.with_header(pert_run, tmp_path, **{field: value})
@@ -652,6 +677,17 @@ class TestAnalyze:
         capsys.readouterr()
 
 
+def reference_snapshot_lines(traj):
+    """The per-coefficient snapshot records that ``write_trajectory`` replaced:
+    the byte reference."""
+    return [
+        json.dumps(
+            {"kind": "snapshot", "t": s.t, "k0": s.mean, "coeffs": [[float(c.real), float(c.imag)] for c in s.coeffs]}
+        )
+        for s in traj.snapshots
+    ]
+
+
 class TestTrajectoryIO:
     def test_self_describing_round_trip(self, tmp_path):
         params = FlowParams(p=2, lam=2.0, n_max=4)
@@ -730,6 +766,20 @@ class TestTrajectoryIO:
         assert back.events == traj.events
         assert back.T_est == traj.T_est
         assert back.stats == traj.stats
+
+    def test_snapshot_records_match_reference(self, pert_run, tmp_path, rng):
+        traj, _ = cli.read_trajectory(pert_run)
+        # magnitudes up to 1e+-300 and signed zeros in every slot but Im c[0]
+        extreme = Trajectory(params=traj.params)
+        for t in range(20):
+            pairs = rng.choice([-1.0, 1.0], (9, 2)) * 10.0 ** rng.uniform(-300, 300, (9, 2))
+            pairs[rng.random((9, 2)) < 0.2] = -0.0
+            pairs[0, 1] = 0.0
+            extreme.append(SpectralState(traj.params, float(t), pairs.view(np.complex128)[:, 0]))
+        for run in (traj, extreme):
+            path = tmp_path / "t.jsonl"
+            cli.write_trajectory(str(path), run, {})
+            assert path.read_text().splitlines()[1:-1] == reference_snapshot_lines(run)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "junk.jsonl"
@@ -867,6 +917,20 @@ class TestRender:
         assert (out / "curves.svg").read_text() == render_svg(frames)
         for i, (_, poly) in enumerate(frames):
             assert (out / f"frame_{i:03d}.csv").read_text() == polyline_csv(poly)
+
+    def test_nonpositive_frame_exit_1(self, tmp_path, capsys):
+        doc = {
+            "params": {"p": 1, "lambda": "2", "n_max": 8},
+            "init": {"mean": 1.0, "harmonics": [{"n": 1, "cos": 0.99}]},
+            "control": {"k0_stop": 1.0e4},
+        }
+        code, traj_path = run_simulation(tmp_path, doc)
+        assert code == cli.EXIT_POSITIVITY
+        capsys.readouterr()
+        code = cli.main(["render", "--traj", traj_path, "--out", str(tmp_path / "frames")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: curvature must be positive") and err.count("\n") == 1
 
     def test_non_rational_lambda_exit_5(self, tmp_path, capsys):
         code, traj_path = run_simulation(tmp_path, CONST_CONFIG)  # lam=2.0 untagged
