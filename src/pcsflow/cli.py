@@ -552,13 +552,11 @@ def _report_normalized(traj, cfg: AnalysisConfig) -> dict:
     T_est, _ = estimate_T(traj)
     series = normalized_series(traj, T_est, cl_orders=(0, 1, 2))
     beta = beta_rate(params.lam, params.p)
-    omega = beta  # lam^2 p - p - 1 after the bootstrapped mean bound
     sup_fit = fit_exponential(series.taus, series.sup_dev, window=cfg.tau_window)
     sup_ok = abs(-sup_fit.exponent - beta) <= cfg.rate_tolerance * beta
     out = {
         "T_est": T_est,
         "beta_theory": beta,
-        "omega_theory": omega,
         "sup_rate": -sup_fit.exponent,
         "sup_window": list(sup_fit.window),
         "sup_n_points": sup_fit.n_points,

@@ -85,7 +85,7 @@ class RhsPlan:
     """The ``rhs_fast`` evaluator prepared for one FlowParams: the pad size and
     the multipliers (1, i*lam*n, -(lam*n)^2) giving the spectra of k, k', k'',
     so a call is one batched ``irfft`` (which zero-pads them to the grid) and
-    one ``rfft``."""
+    one ``rfft``, for one half spectrum or for a stack of them."""
 
     def __init__(self, params):
         self.params = params
@@ -94,13 +94,16 @@ class RhsPlan:
         self._mult = np.array([np.ones_like(lam_n), 1j * lam_n, -(lam_n**2)])
 
     def __call__(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mode derivative, padded-grid profile k) at the coefficients."""
-        p, m, size = self.params.p, self.m, len(coeffs)
-        k, kd, kdd = irfft(self._mult * coeffs, n=m) * m
+        """(mode derivative, padded-grid profile k) at the coefficients
+        c[..., 0..n_max], one row of each per row of a stack.  The "forward"
+        norm is the unscaled sum on the grid; with m a power of two it gives
+        the same bits as scaling the default norm by m and 1/m.  The rfft of
+        the real grid values leaves the mean's imaginary part exactly +0."""
+        p, size = self.params.p, coeffs.shape[-1]
+        grids = irfft(self._mult * coeffs[..., None, :], n=self.m, norm="forward")
+        k, kd, kdd = grids[..., 0, :], grids[..., 1, :], grids[..., 2, :]
         vals = k**p * (k * kdd + (p - 1) * kd**2 + (k * k) / p)
-        deriv = rfft(vals)[:size] / m
-        deriv[0] = deriv[0].real
-        return deriv, k
+        return rfft(vals, norm="forward")[..., :size], k
 
 
 def rhs_fast(state: SpectralState) -> np.ndarray:

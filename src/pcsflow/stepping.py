@@ -18,15 +18,27 @@ evaluations, and its padded-grid profile gives the positivity check.  The
 error norm is mixed (II.4), with abs_tol max(1, |c[0]|) on the modes, in units
 of the mean like the FFT round-off of N, and abs_tol on the clock slot.
 
+The core works in passes.  A pass takes steps of k lengths from the current
+point at once, its members, stacked on a leading axis: each stage is one RHS
+call on a (k, size) stack, so a pass pays the per-call cost once, not k times.
+Its last member is the step the core advances by; the pass is accepted when
+every member's error norm is <= 1.  The members' temporaries grow as k x size.
+
 The blow-up flow runs on the clock ds = c[0]^{p+1} dt, with the constant rates
 L_n = (p+2)/p - lam^2 n^2 (L_0 = 1/p) of the mode system's diagonal part;
-``max_step``, ``min_step`` and the step floor act on model time.  The
-normalized flow runs on tau, with the rates of its linearization at the circle
-of its current mean.  Blow-up snapshots sit on a log ladder in c[0]; a step
-that would reach the next rung is aimed at it, its length the root of the
-predicted c[0](h) (event location, II.6), so it is the snapshot.  One that
-misses by over 1e-12 of the rung, or a plain step across it, is redone with
-Newton corrections on the real step from the FSAL dc[0]/ds.
+``max_step``, ``min_step`` and the step floor act on model time.  Its
+snapshots sit on a log ladder in c[0].  A pass takes the controller's step h
+and, beside it, a member aimed at every rung that the predicted c[0](h) places
+in (0, h], its length the root of that prediction (event location, II.6), so
+that member is the rung's snapshot.  A pass ends on its last rung, without h,
+when that rung is k0_stop's or when the pass holds max(1, 1024 // size) rung
+members, the most a pass may stack.  Rung members that miss by over 1e-12 of
+the rung, and rungs the step h crosses without a member, are redone together,
+one more pass per round of Newton corrections h += gap / (dc[0]/ds) from the
+FSAL dc[0]/ds.  The rungs are recorded in time order, then the core advances
+by h.  The normalized flow runs on tau, with the rates of its linearization at
+the circle of its current mean; its passes have one member, the step clipped
+onto the next tau mark.
 """
 
 from __future__ import annotations
@@ -62,9 +74,10 @@ _E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
 # The Lawson tableau as weight rows over z = (y, K_1, ..., K_7): the row of
 # stage i+1 is (1, h a_i) times exp((c_i - (0, c_1..c_i)) h L), and the error
 # row is (0, h e) times exp((1 - (0, c)) h L); row i spans _ROWS[i - 1].
-_EXPO = np.concatenate([_C[i] - np.r_[0.0, _C[:i]] for i in range(1, 7)] + [1 - np.r_[1.0, _C]])
-_UNIT = np.concatenate([np.r_[1.0, np.zeros(i)] for i in range(1, 7)] + [np.zeros(8)])
-_COEF = np.concatenate([np.r_[0.0, row] for row in _A] + [np.r_[0.0, _E]])
+# Columns, one entry per row, to broadcast against a pass's lengths.
+_EXPO = np.concatenate([_C[i] - np.r_[0.0, _C[:i]] for i in range(1, 7)] + [1 - np.r_[1.0, _C]])[:, None]
+_UNIT = np.concatenate([np.r_[1.0, np.zeros(i)] for i in range(1, 7)] + [np.zeros(8)])[:, None]
+_COEF = np.concatenate([np.r_[0.0, row] for row in _A] + [np.r_[0.0, _E]])[:, None]
 _ROWS = [slice((i - 1) * (i + 2) // 2, (i - 1) * (i + 2) // 2 + i + 1) for i in range(1, 8)]
 
 
@@ -97,10 +110,17 @@ class StepControl:
 
 @dataclass
 class RunStats:
-    """What one run did.  ``landing`` counts the accepted steps aimed at a
-    blow-up rung and their redos, ``accepted`` the other accepted steps; dt
-    spans both, in model time; ``min_trap_margin`` covers the start and every
-    accepted step.  No flow has a stiffness cap: ``cap_bound_frac`` reads 0 (old trailers carry it)."""
+    """What one run did, counted per member of a pass (see the module
+    docstring), each member a step call of six RHS evaluations.  ``accepted``
+    counts the accepted members that are not aimed at a blow-up rung (the
+    controller's steps, at most one per pass); ``landing`` the members of
+    accepted passes aimed at a rung, and their Newton redos; ``rejected``
+    every member of a rejected pass.  ``rhs_evals`` counts evaluations per
+    member plus the first, so a pass of k members adds 6 k for its six
+    stacked RHS calls.  dt spans the steps the core advanced by, in model
+    time; ``min_trap_margin`` covers the start, every rung recorded and every
+    point advanced to.  No flow has a stiffness cap: ``cap_bound_frac`` reads
+    0 (old trailers carry it)."""
 
     accepted: int = 0
     rejected: int = 0
@@ -163,11 +183,12 @@ def step(
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    def modes(y):  # the slot is t itself, at rate 1
-        return rhs(state.with_coeffs(y[:-1])), 1.0, None
+    def modes(y, out):  # one point; the slot is t itself, at rate 1; no profile to check
+        out[0, :-1], out[0, -1] = rhs(state.with_coeffs(y[0, :-1])), 1.0
+        return np.ones((1, 1))
 
-    trial = _Stepper(state.params, np.append(state.coeffs, state.t), control, modes).attempt(dt)
-    return state.with_coeffs(trial.y[:-1], t=state.t + dt), trial.err
+    trial = _Stepper(state.params, np.append(state.coeffs, state.t), control, modes).attempt(np.array([dt]))
+    return state.with_coeffs(trial.y[0, :-1], t=state.t + dt), float(trial.err[0])
 
 
 def _own_clock(y: np.ndarray) -> tuple[float, float]:
@@ -178,8 +199,12 @@ def _own_clock(y: np.ndarray) -> tuple[float, float]:
 # Bounds on the factor by which the controller changes the step after a trial.
 _GROW, _SHRINK = 5.0, 0.2
 
-# Accepted and rejected steps a run may take before it ends in a step_floor event.
-_MAX_STEPS = 2_000_000
+# Passes a run may try before it ends in a step_floor event.
+_MAX_PASSES = 2_000_000
+
+# Rung members times state size a blow-up pass may stack (module docstring):
+# about 1 MB of temporaries, and one member from size 513 (n_max 511) on.
+_PASS_SIZE = 2**10
 
 # Spacing in tau of the normalized flow's snapshots when no marks are given.
 _TAU_INTERVAL = 0.1
@@ -192,24 +217,29 @@ def _controller_factor(err_norm: float) -> float:
     return _GROW if err_norm == 0.0 else min(_GROW, max(_SHRINK, 0.9 * err_norm ** (-0.2)))
 
 
-# A step tried from the current point: its size h on the core's clock, end
-# point y, the seven stages (ks[6] is N(y)), the padded-grid profile of y and
-# the scaled error norm.
-_Trial = namedtuple("_Trial", "h y ks grid err")
+class _Trial(namedtuple("_Trial", "h y ks grid err")):
+    """A pass tried from the current point, one entry per member: its length h
+    on the core's clock, end point y, the seven stages (ks[6, i] is member i's
+    N(y)), the padded-grid profile of y and the scaled error norm."""
+
+    def member(self, i: int) -> "_Trial":
+        """Member i alone, as views: ks[6] is its N(y)."""
+        return _Trial(self.h[i], self.y[i], self.ks[:, i], self.grid[i], self.err[i])
 
 
 class _Stepper:
     """The raw-array core: the point y = (c[0..n_max], clock slot), its FSAL
-    N(y) and profile grid from ``rhs(y)`` (N on the modes, N on the slot, grid),
-    the diagonal ``rates`` L (zero: plain DP5), ``clock(y)`` giving the model
-    time t and dt/ds, the adaptive loop and the run's ``RunStats``."""
+    N(y) and profile grid from ``rhs(ys, out)`` (which writes N of each row of
+    the stack ys, modes and slot, into out and returns the rows' profile
+    grids), the diagonal ``rates`` L (zero: plain DP5), ``clock(y)`` giving the
+    model time t and dt/ds, the adaptive loop and the run's ``RunStats``."""
 
     def __init__(self, params, y, control: StepControl, rhs, rates=None, clock=_own_clock):
         self.params, self.control, self.rhs, self.clock = params, control, rhs, clock
         self.rates = np.zeros(y.size) if rates is None else rates
         self.stats, self.start = RunStats(dt_min=math.inf), time.perf_counter()
         self.reset(y)
-        gmin = 1.0 if self.grid is None else float(self.grid.min())
+        gmin = float(self.grid.min())
         if gmin <= 0.0:
             raise PositivityError(f"initial profile must be strictly positive; grid min {gmin:.3e}")
 
@@ -222,84 +252,106 @@ class _Stepper:
 
     def reset(self, y: np.ndarray):  # move to y at the current time
         self.y, self.f = y, np.empty_like(y)
-        self.f[:-1], self.f[-1], self.grid = self.rhs(y)
+        self.grid = self.rhs(y[None], self.f[None])[0]
         self.stats.rhs_evals += 1
 
-    def attempt(self, h: float) -> _Trial:
-        """One Lawson DP5(4) step of size h from the current point, without moving."""
-        y, z = self.y, np.empty((8, self.y.size), dtype=np.complex128)
+    def attempt(self, hs: np.ndarray) -> _Trial:
+        """A pass: one Lawson DP5(4) step from the current point per length in
+        ``hs``, without moving.  Each stage is one ``rhs`` call on the stack of
+        members, and each member has the bits of a pass of its length alone."""
+        y = self.y
+        z = np.empty((8, hs.size, y.size), dtype=np.complex128)
         z[0], z[1] = y, self.f
-        w = (_UNIT + h * _COEF)[:, None] * np.exp(np.multiply.outer(h * _EXPO, self.rates))
+        w = (_UNIT + _COEF * hs)[..., None] * np.exp((_EXPO * hs)[..., None] * self.rates)
         for i, rows in enumerate(_ROWS[:6], 2):
-            y_new = np.einsum("jn,jn->n", w[rows], z[:i])
-            z[i, :-1], z[i, -1], grid = self.rhs(y_new)
-        self.stats.rhs_evals += 6
-        err = np.einsum("jn,jn->n", w[_ROWS[6]], z)
-        if not np.all(np.isfinite(err)):
+            y_new = np.einsum("jkn,jkn->kn", w[rows], z[:i])
+            grid = self.rhs(y_new, z[i])
+        self.stats.rhs_evals += 6 * hs.size
+        err = np.einsum("jkn,jkn->kn", w[_ROWS[6]], z)
+        if not np.isfinite(err).all():
             raise IntegrationError(
                 f"non-finite derivative at t={self.t:.6g} (|y|max={np.max(np.abs(y_new)):.3e})"
             )
         scale = self.control.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        scale[:-1] += self.control.abs_tol * max(1.0, abs(y[0]))
-        scale[-1] += self.control.abs_tol
-        return _Trial(h, y_new, z[1:], grid, float(np.sqrt(np.mean(np.abs(err / scale) ** 2))))
+        scale[:, :-1] += self.control.abs_tol * max(1.0, abs(y[0]))
+        scale[:, -1] += self.control.abs_tol
+        norms = np.sqrt(np.add.reduce(np.abs(err / scale) ** 2, axis=-1) / y.size)
+        return _Trial(hs, y_new, z[1:], grid, norms)
 
-    def accept(self, trial: _Trial):
-        self.y, self.f, self.grid = trial.y, trial.ks[6], trial.grid
+    def accept(self, member: _Trial):
+        self.y, self.f, self.grid = member.y, member.ks[6], member.grid
 
-    def land(self, trial: _Trial, level: float) -> _Trial:
-        """Newton on the real step from ``trial``, an accepted step aimed at or
-        across c[0] == level: redo it with h += gap / (dc[0]/ds) at its end until
-        c[0] is within 1e-12 of level (at most four redos, each a landing step)."""
+    def land(self, rungs: list):
+        """Newton on the real steps of ``rungs``, pairs [level, member] of a
+        rung c[0] == level and an accepted member aimed at or across it: redo
+        every member whose c[0] misses its level by over 1e-12 of it with
+        h += gap / (dc[0]/ds) at its end, all in one pass, until none does (at
+        most four passes; each redo is a landing step).  Replaces the members."""
         for _ in range(4):
-            gap = level - trial.y[0].real
-            if abs(gap) <= _LANDING_TOL * level:
+            redo = [r for r in rungs if abs(r[0] - r[1].y[0].real) > _LANDING_TOL * r[0]]
+            if not redo:
                 break
-            trial = self.attempt(trial.h + gap / (self.rates[0] * trial.y[0].real + trial.ks[6, 0].real))
-            self.stats.landing += 1
-        return trial
+            hs = [m.h + (level - m.y[0].real) / (self.rates[0] * m.y[0].real + m.ks[6, 0].real) for level, m in redo]
+            trial = self.attempt(np.array(hs))
+            self.stats.landing += len(redo)
+            for i, r in enumerate(redo):
+                r[1] = trial.member(i)
 
-    def run(self, traj, h, done, settle, clip):
+    def visit(self, traj, t: float, record: bool) -> bool:
+        """Check the point the core moved to from time t: record it when asked
+        or when its profile is no longer positive; True when that ends the run,
+        in positivity_loss, or in step_floor once t no longer tells the point
+        from the last snapshot."""
+        gmin = float(self.grid.min())
+        if record or gmin <= 0.0:
+            if self.t <= traj.snapshots[-1].t:
+                traj.add_event(t, "step_floor", "model time no longer advances")
+                return True
+            traj.append(self.state())
+        if gmin <= 0.0:
+            traj.add_event(self.t, "positivity_loss", f"grid min={gmin:.3e}")
+            return True
+        return False
+
+    def run(self, traj, h, done, plan, settle):
         """The adaptive loop both flows share; True when ``done()`` ended it.
         Steps h are on the core's clock s; ``max_step`` and the step floor act
-        on the model-time step dt = h dt/ds.  ``clip(h)`` may shorten a step onto
-        a mark, and the next starts from the unclipped h; ``settle(trial)``
-        moves onto an accepted trial and says whether to record the new point,
-        a step_floor once t no longer tells it from the last snapshot.  Fills
-        ``traj.stats``."""
+        on the model-time step dt = h dt/ds of the member advanced by.
+        ``plan(h)`` gives a pass's lengths, the last the step to advance by,
+        which may shorten h onto a mark; the next pass starts from the
+        unshortened h.  ``settle(trial)`` counts the accepted pass's members,
+        moves onto its points in time order, yielding at each whether to
+        record it, and ends on the point advanced to.  Fills ``traj.stats``."""
         control, stats, finished = self.control, self.stats, False
-        for _ in range(_MAX_STEPS):
+        for _ in range(_MAX_PASSES):
             if finished := done():
                 break
             t, speed = self.clock(self.y)
             proposal = min(h, control.max_step / speed)
-            h = clip(proposal)
+            hs = plan(proposal)
+            h = float(hs[-1])
             dt = h * speed
             if t + dt == t or dt < control.min_step:
                 traj.add_event(t, "step_floor", f"dt={dt:.3e}")
                 break
-            trial = self.attempt(h)
-            if trial.err > 1.0:
-                stats.rejected += 1
-                h *= _controller_factor(trial.err)
+            trial = self.attempt(hs)
+            err = float(max(trial.err))
+            if err > 1.0:
+                stats.rejected += hs.size
+                h *= _controller_factor(err)
                 continue
-            stats.accepted += 1
-            record = settle(trial)
+            ended = False
+            for record in settle(trial):
+                if ended := self.visit(traj, t, record):
+                    break
             dt = self.t - t
             stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
-            gmin = float(self.grid.min())
-            if record or gmin <= 0.0:
-                if self.t <= traj.snapshots[-1].t:
-                    traj.add_event(t, "step_floor", "model time no longer advances")
-                    break
-                traj.append(self.state())
-            if gmin <= 0.0:
-                traj.add_event(self.t, "positivity_loss", f"grid min={gmin:.3e}")
+            if ended:
                 break
-            h = proposal if h < proposal else h * _controller_factor(trial.err)
+            h = proposal if h < proposal else h * _controller_factor(float(trial.err[-1]))
         else:
             traj.add_event(self.t, "step_floor", "max_steps exhausted")
-        stats.dt_min = stats.dt_min if stats.accepted else 0.0
+        stats.dt_min = stats.dt_min if stats.dt_max else 0.0
         stats.wall_s = time.perf_counter() - self.start
         traj.stats = stats
         return finished
@@ -320,21 +372,31 @@ def integrate(
     adds no quadrature error of dt/ds ~ exp(-(p+1) s/p) to T - t, which the
     normalized-frame analysis needs to far below rel_tol.
     Snapshots land on each rung of the log ladder in c[0] (snapshots_per_decade
-    per decade), each by the step aimed at it.  With ``trap_c`` the trapping
-    margin is checked at the start and at every accepted step; a trap_violation
-    event marks each turn negative (the run continues).
+    per decade), each by the member of a pass aimed at it (module docstring),
+    and the run ends on the first rung at k0_stop or above.  With ``trap_c``
+    the trapping margin is checked at the start, at every rung and at every
+    point advanced to; a trap_violation event marks each turn negative (the
+    run continues).
     """
     control = control or StepControl()
     p, lam, n_max = init.params.p, init.params.lam, init.params.n_max
-    plan, n = RhsPlan(init.params), np.arange(1, n_max + 1)
+    evaluate, n = RhsPlan(init.params), np.arange(1, n_max + 1)
     rates = np.r_[1 / p, diagonal_rates(p, lam, n), 0.0]
+    mode_rates = rates[:-1].astype(np.complex128)  # cast once, not in every L c (same bits)
 
-    def rhs(y: np.ndarray):
-        c = y[:-1]
-        deriv, grid = plan(c)
-        speed = c[0].real ** -(p + 1)
-        nonlinear = deriv * speed - rates[:-1] * c
-        return nonlinear, -p * speed / c[0].real * nonlinear[0], grid
+    def rhs(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        c = y[:, :-1]
+        deriv, grid = evaluate(c)
+        # a lone member's c[0] is a scalar, cheaper than a column; the speed
+        # c[0]^-(p+1) is p+1 divisions, which round alike on both (numpy's
+        # vector pow does not round as its scalar pow does)
+        c0 = c[0, 0].real if len(c) == 1 else c[:, :1].real
+        speed = 1.0 / c0
+        for _ in range(p):
+            speed = speed / c0
+        nonlinear = np.subtract(deriv * speed, mode_rates * c, out=out[:, :-1])
+        out[:, -1:] = -p * speed / c0 * nonlinear[:, :1]
+        return grid
 
     def clock(y: np.ndarray) -> tuple[float, float]:
         speed = y[0].real ** -(p + 1)
@@ -344,7 +406,10 @@ def integrate(
     core = _Stepper(init.params, np.append(init.coeffs, z0), control, rhs, rates, clock)
     traj = Trajectory(params=init.params, snapshots=[init])
     ratio = 10.0 ** (1.0 / control.snapshots_per_decade)
-    next_level, negative, aimed, decay = init.mean * ratio, False, False, 0.0
+    # a rung on k0_stop counts as reached when landed within tolerance below it
+    stop = control.k0_stop * (1.0 - _LANDING_TOL)
+    next_level, negative, decay, aimed = init.mean * ratio, False, 0.0, []
+    most_aimed = max(1, _PASS_SIZE // core.y.size)
 
     def watch_trap():
         nonlocal negative
@@ -354,44 +419,62 @@ def integrate(
             traj.add_event(core.t, "trap_violation", f"margin={margin:.6e}")
         negative = margin < 0.0
 
-    def settle(trial: _Trial) -> bool:
-        nonlocal next_level, decay
-        landing = aimed or trial.y[0].real >= next_level
-        if landing:
-            if aimed:  # the step aimed at the rung is a landing step, not a plain one
-                core.stats.accepted -= 1
-                core.stats.landing += 1
-            trial = core.land(trial, next_level)
-            next_level *= ratio
-        start, end = trial.ks[0, 0].real, trial.ks[6, 0].real
-        decay = max(0.0, math.log(start / end) / trial.h) if start * end > 0.0 else 0.0
-        core.accept(trial)
-        while core.y[0].real >= next_level:
-            next_level *= ratio
-        if trap_c is not None:
-            watch_trap()
-        return landing
-
-    def clip(h: float) -> float:
-        # aim at the next rung: fixed-point passes on c[0](h) == next_level for
-        # dc[0]/ds = c[0]/p + N_0 exp(-decay s), N_0 fading as over the last step
-        nonlocal aimed
-        c0, n0, rate, aim = core.y[0].real, core.f[0].real, decay + 1 / p, 0.0
+    def aim(level: float, h: float) -> float:
+        # fixed-point iterations from h on c[0](h) == level for dc[0]/ds = c[0]/p +
+        # N_0 exp(-decay s), N_0 fading as over the last step; inf: no root
+        c0, n0, rate = core.y[0].real, core.f[0].real, decay + 1 / p
         for _ in range(4):
-            base = c0 - n0 * math.expm1(-rate * aim) / rate
-            if not 0.0 < base < next_level:  # no root: the controller's step
-                aim = math.inf
-                break
-            aim = p * math.log(next_level / base)
-        aimed = aim <= h
-        return aim if aimed else h
+            base = c0 - n0 * math.expm1(-rate * h) / rate
+            if not 0.0 < base < level:
+                return math.inf
+            h = p * math.log(level / base)
+        return h
+
+    def plan(h: float) -> np.ndarray:
+        # a member at each rung aimed inside (0, h], then h itself, unless the
+        # pass ends on a rung: the stop rung, or the last of most_aimed
+        aimed.clear()
+        hs, level, at = [], next_level, 0.0
+        while (at := aim(level, at)) <= h:
+            aimed.append(level)
+            hs.append(at)
+            if level >= stop or len(hs) == most_aimed:
+                return np.array(hs)
+            level *= ratio
+        return np.array(hs + [h])
+
+    def settle(trial: _Trial):
+        nonlocal next_level, decay
+        advance = trial.member(trial.h.size - 1)
+        # the rungs crossed, each with the member aimed at it or, where the aim
+        # missed it, the step advanced by; a pass that ends on a rung keeps
+        # just its aimed rungs, and the stop rung ends every pass
+        on_rung = len(aimed) == trial.h.size
+        core.stats.accepted += trial.h.size - len(aimed)
+        core.stats.landing += len(aimed)
+        top, most = (math.inf, len(aimed)) if on_rung else (advance.y[0].real, math.inf)
+        rungs = []
+        while next_level <= top and len(rungs) < most and not (rungs and rungs[-1][0] >= stop):
+            rungs.append([next_level, trial.member(len(rungs)) if len(rungs) < len(aimed) else advance])
+            next_level *= ratio
+        if rungs:
+            core.land(rungs)
+        points = [(member, True) for _, member in rungs]
+        if not (on_rung or rungs and (rungs[-1][0] >= stop or rungs[-1][1] is advance)):
+            points.append((advance, False))
+        final = points[-1][0]
+        start, end = final.ks[0, 0].real, final.ks[6, 0].real
+        decay = max(0.0, math.log(start / end) / final.h) if start * end > 0.0 else 0.0
+        for member, record in points:
+            core.accept(member)
+            if trap_c is not None:
+                watch_trap()
+            yield record
 
     if trap_c is not None:
         core.stats.min_trap_margin = math.inf
         watch_trap()
-    # a rung on k0_stop counts as reached when landed within tolerance below it
-    stop = control.k0_stop * (1.0 - _LANDING_TOL)
-    reached = core.run(traj, 0.01 * p, lambda: core.y[0].real >= stop, settle, clip)
+    reached = core.run(traj, 0.01 * p, lambda: core.y[0].real >= stop, plan, settle)
     if reached:
         traj.add_event(core.t, "blow_up_stop", f"k0={core.y[0].real:.6e}")
     if core.t > traj.snapshots[-1].t:
@@ -427,19 +510,21 @@ def integrate_normalized(
     control = control or StepControl()
     p, lam, n = init.params.p, init.params.lam, np.arange(1, init.params.n_max + 1)
     state = init.with_coeffs(np.r_[1.0, init.coeffs[1:]]) if renormalize_mean else init
-    plan = RhsPlan(init.params)
+    evaluate = RhsPlan(init.params)
 
     def frozen(mean: float) -> np.ndarray:
         return np.r_[0.0, mean ** (p + 1) * (p + 2 - p * lam**2 * n**2) - 1.0, 0.0]
 
     rates = frozen(state.mean)
 
-    def rhs(y: np.ndarray):
-        c = y[:-1]
-        deriv, grid = plan(c)
+    def rhs(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        c = y[:, :-1]
+        deriv, grid = evaluate(c)
         deriv = p * deriv - c
-        deriv[0] = deriv[0].real
-        return deriv - rates[:-1] * c, 1.0, grid
+        deriv[:, 0] = deriv[:, 0].real
+        np.subtract(deriv, rates[:-1] * c, out=out[:, :-1])
+        out[:, -1] = 1.0
+        return grid
 
     core = _Stepper(state.params, np.append(state.coeffs, state.t), control, rhs, rates)
     traj = Trajectory(params=init.params, snapshots=[state])
@@ -452,23 +537,24 @@ def integrate_normalized(
             marks.append(mark)
     on_mark = False
 
-    def clip(h: float) -> float:
+    def plan(h: float) -> np.ndarray:
         nonlocal on_mark
         on_mark = core.t + h >= marks[0] - _MARK_TOL
-        return marks[0] - core.t if on_mark else h
+        return np.array([marks[0] - core.t if on_mark else h])
 
-    def settle(trial: _Trial) -> bool:
-        core.accept(trial)
+    def settle(trial: _Trial):
+        core.stats.accepted += 1
+        core.accept(trial.member(0))
         if renormalize_mean:
             core.y[0] = 1.0
             core.reset(core.y)
-        else:  # refreeze L (the core's rates too) at the new mean; N = p plan(y) - y - L y moves with it
+        else:  # refreeze L (the core's rates too) at the new mean; N = p evaluate(y) - y - L y moves with it
             new = frozen(core.y[0].real)
             core.f += (rates - new) * core.y
             rates[:] = new
         if on_mark:
             marks.pop(0)
-        return on_mark
+        yield on_mark
 
-    core.run(traj, control.max_step, lambda: not marks, settle, clip)
+    core.run(traj, control.max_step, lambda: not marks, plan, settle)
     return traj

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pcsflow import stepping
 from pcsflow.blowup import estimate_T, select_c, trap_margin
 from pcsflow.checks import blowup_time_defect, exact_blowup_time
 from pcsflow.errors import PositivityError
 from pcsflow.normalize import normalized_frame
-from pcsflow.rhs import normalized_rhs
+from pcsflow.rhs import RhsPlan, normalized_rhs
 from pcsflow.spectral import FlowParams, SpectralState, synthesize
 from pcsflow.stepping import StepControl, Trajectory, integrate, integrate_normalized, step
 
@@ -224,6 +225,14 @@ class TestRungLanding:
         stopped = {s: traj.events for s, traj in cone_runs.items() if [e[1] for e in traj.events] != ["blow_up_stop"]}
         assert not stopped
 
+    def test_every_rung_landed_within_tolerance(self, cone_runs):
+        # rung members that miss, and rungs a pass crosses without one, are
+        # landed by Newton passes within 1e-12 of the rung
+        for traj in cone_runs.values():
+            ratio = 10 ** (1 / 40)
+            levels = ratio ** np.arange(1, len(traj.snapshots))
+            assert np.all(np.abs(traj.k0[1:] - levels) <= 1e-12 * levels)
+
     def test_at_most_one_and_a_half_step_calls_per_rung(self, cone_runs):
         # each rung is reached by the step aimed at it, nearly always in one call
         traj = cone_runs[0]
@@ -247,6 +256,141 @@ class TestRungLanding:
         # FFT round-off (about eps k0) as the mean grows
         traj = integrate(cone_state(0), TIGHT, trap_c=256.0)
         assert step_calls(traj) < 2000
+
+
+def first_multi_rung_pass(init: SpectralState, control: StepControl) -> np.ndarray:
+    """c[0] at the members of the first pass of ``integrate`` with two rung
+    members or more, in time order (the last is the step advanced by)."""
+    passes, attempt = [], stepping._Stepper.attempt
+
+    def spy(core, hs):
+        trial = attempt(core, hs)
+        passes.append(trial.y[:, 0].real.copy())
+        return trial
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepping._Stepper, "attempt", spy)
+        integrate(init, control)
+    return next(c0 for c0 in passes if c0.size >= 3)
+
+
+class TestPasses:
+    def test_members_have_the_bits_of_one_member_passes(self, monkeypatch):
+        # each member of a pass, rung or advance, from the same point
+        attempt, checked = stepping._Stepper.attempt, []
+
+        def spy(core, hs):
+            trial = attempt(core, hs)
+            if hs.size >= 3:
+                for i in range(hs.size):
+                    alone = attempt(core, hs[i : i + 1]).member(0)
+                    checked.append(all(np.array_equal(a, b) for a, b in zip(trial.member(i), alone)))
+            return trial
+
+        monkeypatch.setattr(stepping._Stepper, "attempt", spy)
+        traj = integrate(cone_state(0), StepControl(k0_stop=1e2))
+        assert traj.has_event("blow_up_stop")
+        assert len(checked) >= 20 and all(checked)
+
+    def test_at_most_three_rhs_calls_per_rung(self, monkeypatch):
+        # a pass makes one stacked call per stage for all its members
+        calls, evaluate = [0], RhsPlan.__call__
+
+        def counted(plan, coeffs):
+            calls[0] += 1
+            return evaluate(plan, coeffs)
+
+        monkeypatch.setattr(RhsPlan, "__call__", counted)
+        traj = integrate(cone_state(0), StepControl(k0_stop=1e6), trap_c=256.0)
+        assert [e[1] for e in traj.events] == ["blow_up_stop"]
+        assert calls[0] <= 3 * (len(traj.snapshots) - 1)
+
+    @pytest.mark.parametrize(
+        "init, control",
+        [
+            (cone_state(0), StepControl(k0_stop=1e4, snapshots_per_decade=400)),
+            (make_state(FlowParams(p=1, lam=2.0, n_max=128), {0: 1.0, 1: 0.0025}), StepControl(k0_stop=1e3)),
+        ],
+        ids=["n_max8_400_per_decade", "n_max128"],
+    )
+    def test_pass_stacks_at_most_its_cap(self, monkeypatch, init, control):
+        # a pass holds at most max(1, 1024 // size) members and, when it has
+        # stacked that many rungs, ends on the last of them without the step h
+        attempt, sizes = stepping._Stepper.attempt, []
+
+        def spy(core, hs):
+            sizes.append(hs.size)
+            return attempt(core, hs)
+
+        monkeypatch.setattr(stepping._Stepper, "attempt", spy)
+        traj = integrate(init, control)
+        cap = max(1, stepping._PASS_SIZE // (init.params.n_max + 2))
+        assert [e[1] for e in traj.events] == ["blow_up_stop"]
+        assert max(sizes) == cap and sizes.count(cap) >= 4
+        ratio = 10 ** (1 / control.snapshots_per_decade)
+        levels = ratio ** np.arange(1, len(traj.snapshots))
+        assert len(levels) == round(control.snapshots_per_decade * math.log10(control.k0_stop))
+        assert np.all(np.abs(traj.k0[1:] - levels) <= 1e-12 * levels)
+
+    def test_pass_rejected_when_a_rung_member_fails(self, monkeypatch):
+        # a rung member with error norm over 1 rejects its whole pass, though
+        # the step advanced by is within tolerance, and the controller shrinks
+        # h by that member's norm before it tries again from the same point
+        attempt, passes, spoiled = stepping._Stepper.attempt, [], []
+
+        def spy(core, hs):
+            trial = attempt(core, hs)
+            passes.append((core.y.copy(), hs.copy(), trial.err.copy()))
+            if hs.size >= 3 and not spoiled:
+                spoiled.append(len(passes) - 1)
+                trial.err[0] = 2.0
+            return trial
+
+        monkeypatch.setattr(stepping._Stepper, "attempt", spy)
+        traj = integrate(cone_state(0), StepControl(k0_stop=1e2))
+        (y, hs, err), (y_next, hs_next, _) = passes[spoiled[0]], passes[spoiled[0] + 1]
+        assert err.max() <= 1.0
+        assert traj.stats.rejected == hs.size
+        assert np.array_equal(y_next, y)
+        assert hs_next[-1] == hs[-1] * stepping._controller_factor(2.0)
+        assert [e[1] for e in traj.events] == ["blow_up_stop"]
+
+    def test_positivity_loss_at_first_offending_member(self, monkeypatch):
+        # the profile turns negative above a level between the first two rung
+        # members of a pass: the run ends on the second, which the pass's
+        # later members follow in time, keeping every snapshot before it
+        control = StepControl(k0_stop=1e2)
+        reference = integrate(cone_state(0), control)
+        c0 = first_multi_rung_pass(cone_state(0), control)
+        level = 0.5 * (c0[0] + c0[1])
+        evaluate = RhsPlan.__call__
+
+        def turning(plan, coeffs):
+            deriv, grid = evaluate(plan, coeffs)
+            return deriv, np.where(coeffs[..., :1].real > level, -grid, grid)
+
+        monkeypatch.setattr(RhsPlan, "__call__", turning)
+        traj = integrate(cone_state(0), control)
+        kept = int(np.searchsorted(reference.k0, level)) + 1
+        assert [e[1] for e in traj.events] == ["positivity_loss"]
+        assert traj.events[0][0] == traj.times[-1] == reference.times[kept - 1]
+        assert traj.times.tolist() == reference.times[:kept].tolist()
+        assert traj.coeffs.tolist() == reference.coeffs[:kept].tolist()
+
+    def test_trap_violation_at_first_offending_member(self, monkeypatch):
+        # the margin turns negative above a level between the first two rung
+        # members of a pass: the event is at the second, and the run goes on
+        control = StepControl(k0_stop=1e2)
+        reference = integrate(cone_state(0), control)
+        c0 = first_multi_rung_pass(cone_state(0), control)
+        level = 0.5 * (c0[0] + c0[1])
+        monkeypatch.setattr(stepping, "trap_margin", lambda coeffs, c: level - coeffs[..., 0].real)
+        traj = integrate(cone_state(0), control, trap_c=256.0)
+        first = int(np.searchsorted(reference.k0, level))
+        assert [e[1] for e in traj.events] == ["trap_violation", "blow_up_stop"]
+        assert traj.events[0][0] == reference.times[first]
+        assert traj.times.tolist() == reference.times.tolist()
+        assert traj.coeffs.tolist() == reference.coeffs.tolist()
 
 
 class TestLawsonAgainstDP5:

@@ -231,6 +231,27 @@ class TestRhsPlan:
                     assert np.max(np.abs(grid - profile)) < 1e-12 * np.max(np.abs(profile))
                 assert np.array_equal(plan(np.array(states[0].coeffs))[0], first)
 
+    def test_stacks_match_the_scaled_default_norm_row_by_row(self, rng):
+        # reference: the evaluator before it took stacks, which scaled the
+        # default norm by m and 1/m and set the mean's imaginary part to 0; a
+        # stack gives each row the bits of that row alone
+        def reference(plan, coeffs):
+            p, m = plan.params.p, plan.m
+            k, kd, kdd = np.fft.irfft(plan._mult * coeffs, n=m) * m
+            deriv = np.fft.rfft(k**p * (k * kdd + (p - 1) * kd**2 + (k * k) / p))[: len(coeffs)] / m
+            deriv[0] = deriv[0].real
+            return deriv, k
+
+        for p in (1, 2, 3):
+            for n_max in (1, 5, 12, 33):
+                plan = RhsPlan(FlowParams(p=p, lam=2.0, n_max=n_max))
+                stack = np.array([random_trapped_state(plan.params, rng).coeffs for _ in range(4)])
+                derivs, grids = plan(stack)
+                for row, deriv, grid in zip(stack, derivs, grids):
+                    want = reference(plan, row)
+                    assert np.array_equal(deriv, want[0]) and np.array_equal(grid, want[1])
+                    assert all(np.array_equal(a, b) for a, b in zip(plan(row), want))
+
     def test_normalized_plan_matches(self, rng):
         for p in (1, 2, 3):
             params = FlowParams(p=p, lam=2.0, n_max=8)
