@@ -65,15 +65,6 @@ EXIT_INCOMPLETE = 6
 MAX_N_MAX = 65_536
 
 
-def thread_count() -> int:
-    """Worker count for independent verify cases (PCSFLOW_THREADS)."""
-    raw = os.environ.get("PCSFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ----------------------------------------------------------------------------
 # configuration
 
@@ -366,7 +357,9 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
     (no snapshot, a snapshot t that is not a finite number, snapshot coeffs
     that are not n_max + 1 [re, im] number pairs, no trailer last, a T_est
     neither null nor finite) raises ``TrajectoryError``; a wrong format
-    version its subtype ``VersionError``."""
+    version its subtype ``VersionError``.  Keys a record does not use are
+    ignored, in snapshots and in the trailer's ``run_stats`` alike, so files
+    from before a field was retired, or after one was added, still read."""
     try:
         with open(path) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
@@ -399,7 +392,8 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
                 T_est = traj.T_est = rec.get("T_est")
                 if T_est is not None and not _finite_number(T_est):
                     raise ValueError(f"T_est is {T_est!r}, not null or a finite number")
-                traj.stats = RunStats(**rec["run_stats"]) if rec.get("run_stats") else None
+                stats, known = rec.get("run_stats"), {f.name for f in fields(RunStats)}
+                traj.stats = RunStats(**{k: v for k, v in stats.items() if k in known}) if stats else None
         if snapshots:
             # every [re, im] pair of every snapshot in one conversion: bool, int
             # and float entries pass; text, null and ints outside int64/uint64 do not
@@ -700,16 +694,7 @@ VERIFY_CHECKS = (
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed
-    workers = thread_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(name, pool.submit(fn, seed)) for name, fn in VERIFY_CHECKS]
-            results = [(name, *fut.result()) for name, fut in futures]
-    else:
-        results = [(name, *fn(seed)) for name, fn in VERIFY_CHECKS]
+    results = [(name, *fn(args.seed)) for name, fn in VERIFY_CHECKS]
     width = max(len(name) for name, *_ in results)
     all_ok = True
     for name, ok, detail in results:

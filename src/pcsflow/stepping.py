@@ -22,7 +22,8 @@ The core works in passes.  A pass takes steps of k lengths from the current
 point at once, its members, stacked on a leading axis: each stage is one RHS
 call on a (k, size) stack, so a pass pays the per-call cost once, not k times.
 Its last member is the step the core advances by; the pass is accepted when
-every member's error norm is <= 1.  The members' temporaries grow as k x size.
+every member's error norm is <= 1, and a member with a non-finite stage has
+norm inf.  The members' temporaries grow as k x size.
 
 The blow-up flow runs on the clock ds = c[0]^{p+1} dt, with the constant rates
 L_n = (p+2)/p - lam^2 n^2 (L_0 = 1/p) of the mode system's diagonal part;
@@ -83,27 +84,24 @@ _ROWS = [slice((i - 1) * (i + 2) // 2, (i - 1) * (i + 2) // 2 + i + 1) for i in 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Error tolerances, stopping thresholds and snapshot spacing.  ``safety``
-    is still validated and accepted in configs, but no flow reads it."""
+    """Error tolerances, step bounds, the stopping threshold and snapshot
+    spacing."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    safety: float = 0.8
     max_step: float = 1.0
     min_step: float = 1e-18
     k0_stop: float = 1e6
     snapshots_per_decade: int = 40
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "safety", "max_step", "min_step", "k0_stop"):
+        for name in ("rel_tol", "abs_tol", "max_step", "min_step", "k0_stop"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.min_step > self.max_step:
             raise ValueError("min_step must not exceed max_step")
         if self.rel_tol < 1e-13:
             raise ValueError("rel_tol below 1e-13 is round-off dominated")
-        if self.safety > 1.0:
-            raise ValueError("safety factor must lie in (0, 1]")
         if self.snapshots_per_decade < 1:
             raise ValueError("snapshots_per_decade must be >= 1")
 
@@ -119,14 +117,12 @@ class RunStats:
     member plus the first, so a pass of k members adds 6 k for its six
     stacked RHS calls.  dt spans the steps the core advanced by, in model
     time; ``min_trap_margin`` covers the start, every rung recorded and every
-    point advanced to.  No flow has a stiffness cap: ``cap_bound_frac`` reads
-    0 (old trailers carry it)."""
+    point advanced to."""
 
     accepted: int = 0
     rejected: int = 0
     landing: int = 0
     rhs_evals: int = 0
-    cap_bound_frac: float = 0.0
     dt_min: float = 0.0
     dt_max: float = 0.0
     min_trap_margin: float | None = None
@@ -179,7 +175,8 @@ def step(
     state: SpectralState, dt: float, control: StepControl, rhs=rhs_fast
 ) -> tuple[SpectralState, float]:
     """Advance one DP5 step of size dt; returns the new state and the scaled
-    embedded-pair error norm used by the controller (accept when <= 1)."""
+    embedded-pair error norm used by the controller (accept when <= 1).  A
+    non-finite stage raises ``IntegrationError``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
 
@@ -188,6 +185,8 @@ def step(
         return np.ones((1, 1))
 
     trial = _Stepper(state.params, np.append(state.coeffs, state.t), control, modes).attempt(np.array([dt]))
+    if trial.err[0] == np.inf:
+        raise IntegrationError(f"non-finite derivative at t={state.t:.6g} (|y|max={np.max(np.abs(trial.y[0])):.3e})")
     return state.with_coeffs(trial.y[0, :-1], t=state.t + dt), float(trial.err[0])
 
 
@@ -268,14 +267,11 @@ class _Stepper:
             grid = self.rhs(y_new, z[i])
         self.stats.rhs_evals += 6 * hs.size
         err = np.einsum("jkn,jkn->kn", w[_ROWS[6]], z)
-        if not np.isfinite(err).all():
-            raise IntegrationError(
-                f"non-finite derivative at t={self.t:.6g} (|y|max={np.max(np.abs(y_new)):.3e})"
-            )
         scale = self.control.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         scale[:, :-1] += self.control.abs_tol * max(1.0, abs(y[0]))
         scale[:, -1] += self.control.abs_tol
         norms = np.sqrt(np.add.reduce(np.abs(err / scale) ** 2, axis=-1) / y.size)
+        norms[np.isnan(norms)] = np.inf  # a non-finite stage rejects the pass (nan > 1 is False)
         return _Trial(hs, y_new, z[1:], grid, norms)
 
     def accept(self, member: _Trial):
@@ -293,6 +289,8 @@ class _Stepper:
                 break
             hs = [m.h + (level - m.y[0].real) / (self.rates[0] * m.y[0].real + m.ks[6, 0].real) for level, m in redo]
             trial = self.attempt(np.array(hs))
+            if np.isinf(trial.err).any():  # no controller here to shrink the step
+                raise IntegrationError(f"non-finite derivative in a landing step at t={self.t:.6g}")
             self.stats.landing += len(redo)
             for i, r in enumerate(redo):
                 r[1] = trial.member(i)

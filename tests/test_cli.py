@@ -149,6 +149,7 @@ class TestStrictConfig:
             ("output", {"directory": 5}, "output.directory must be text, got 5"),
             ("seed", 0, "unknown key(s) ['seed'] in top level"),
             ("control", {"tau_snapshot_interval": 0.1}, "unknown key(s) ['tau_snapshot_interval'] in control"),
+            ("control", {"safety": 0.8}, "unknown key(s) ['safety'] in control"),
         ],
         ids=[
             "params",
@@ -162,6 +163,7 @@ class TestStrictConfig:
             "number_directory",
             "seed",
             "tau_snapshot_interval",
+            "safety",
         ],
     )
     def test_malformed_shape(self, tmp_path, capsys, section, value, message):
@@ -652,16 +654,21 @@ class TestAnalyze:
         self.assert_unreadable(capsys, edited_snapshot(pert_run, tmp_path, edit), "malformed record", command)
 
     def test_header_echo_with_deleted_keys_gives_the_same_reports(self, pert_run, tmp_path, capsys):
-        # older files echo the since-deleted top-level seed and
-        # control.tau_snapshot_interval; nothing reads them
+        # older files echo the since-deleted top-level seed, control.safety
+        # and control.tau_snapshot_interval, and their trailers carry the
+        # since-deleted run_stats.cap_bound_frac; later ones may carry new
+        # run_stats keys; nothing reads them
         with open(pert_run) as fh:
-            header, *records = fh.read().splitlines()
-        old = json.loads(header)
-        assert "seed" not in old["config"] and "tau_snapshot_interval" not in old["config"]["control"]
+            header, *records, trailer = fh.read().splitlines()
+        old, old_trailer = json.loads(header), json.loads(trailer)
+        assert "seed" not in old["config"] and not {"safety", "tau_snapshot_interval"} & set(old["config"]["control"])
+        assert "cap_bound_frac" not in old_trailer["run_stats"]
         old["config"]["seed"] = 0
-        old["config"]["control"]["tau_snapshot_interval"] = 0.1
+        old["config"]["control"].update(safety=0.8, tau_snapshot_interval=0.1)
+        old_trailer["run_stats"].update(cap_bound_frac=0.0, future_count=7)
         path = tmp_path / "old.jsonl"
-        path.write_text("\n".join([json.dumps(old), *records]) + "\n")
+        path.write_text("\n".join([json.dumps(old), *records, json.dumps(old_trailer)]) + "\n")
+        assert cli.read_trajectory(str(path))[0].stats == cli.read_trajectory(pert_run)[0].stats
         for what in ("rates", "trap", "blowup", "normalized"):
             reports = []
             for traj in (pert_run, str(path)):
@@ -747,7 +754,6 @@ class TestTrajectoryIO:
                 rejected=count,
                 landing=count,
                 rhs_evals=count,
-                cap_bound_frac=finite,
                 dt_min=finite,
                 dt_max=finite,
                 min_trap_margin=st.none() | finite,
@@ -969,23 +975,6 @@ class TestVerify:
         assert cli.main(["verify", "--seed", "3"]) != 0
         out = capsys.readouterr().out
         assert "FAIL  diagonal_split" in out
-
-
-class TestVerifyThreads:
-    def test_thread_pool_path(self, capsys, monkeypatch):
-        # PCSFLOW_THREADS > 1 routes the independent checks through a pool
-        monkeypatch.setenv("PCSFLOW_THREADS", "2")
-        monkeypatch.setattr(
-            cli,
-            "VERIFY_CHECKS",
-            (("a", lambda seed: (True, "ok")), ("b", lambda seed: (True, "ok"))),
-        )
-        assert cli.main(["verify"]) == 0
-        assert capsys.readouterr().out.count("PASS") == 2
-
-    def test_bad_env_value_falls_back(self, monkeypatch):
-        monkeypatch.setenv("PCSFLOW_THREADS", "lots")
-        assert cli.thread_count() == 1
 
 
 class TestBench:
