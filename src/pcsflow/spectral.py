@@ -72,10 +72,10 @@ class FlowParams:
     rational: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
-            raise ValueError(f"p must be a positive integer, got {self.p!r}")
-        if not isinstance(self.n_max, int) or self.n_max < 1:
-            raise ValueError(f"n_max must be a positive integer, got {self.n_max!r}")
+        for name in ("p", "n_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         lam = self.lam
         if lam is None:
             raise ValueError("lam is required")

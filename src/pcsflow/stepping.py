@@ -21,25 +21,30 @@ of the mean like the FFT round-off of N, and abs_tol on the clock slot.
 The core works in passes.  A pass takes steps of k lengths from the current
 point at once, its members, stacked on a leading axis: each stage is one RHS
 call on a (k, size) stack, so a pass pays the per-call cost once, not k times.
-Its last member is the step the core advances by; the pass is accepted when
-every member's error norm is <= 1, and a member with a non-finite stage has
-norm inf.  The members' temporaries grow as k x size.
+The pass is accepted when every member's error norm is <= 1, and a member
+with a non-finite stage has norm inf.  The members' temporaries grow as
+k x size.
+
+Both flows place snapshots by one policy: a snapshot is the point where one
+slot of the state reaches the next of an increasing list of levels.  A pass
+takes the controller's step h and, beside it, a member aimed at every level
+that the flow's prediction of that slot places in (0, h], its length the root
+of that prediction (event location, II.6), so that member is the level's
+snapshot.  A pass ends on its last level, without h, when that level is the
+run's last or when the pass holds max(1, 1024 // size) level members, the most
+a pass may stack.  Level members that miss by over 1e-12 of the level, and
+levels the step h crosses without a member, are redone together, one more
+pass per round of Newton corrections h += gap / (dy/ds) from the FSAL dy/ds.
+The levels are recorded in time order, then the core advances by h; the run
+ends on its last level.
 
 The blow-up flow runs on the clock ds = c[0]^{p+1} dt, with the constant rates
 L_n = (p+2)/p - lam^2 n^2 (L_0 = 1/p) of the mode system's diagonal part;
-``max_step``, ``min_step`` and the step floor act on model time.  Its
-snapshots sit on a log ladder in c[0].  A pass takes the controller's step h
-and, beside it, a member aimed at every rung that the predicted c[0](h) places
-in (0, h], its length the root of that prediction (event location, II.6), so
-that member is the rung's snapshot.  A pass ends on its last rung, without h,
-when that rung is k0_stop's or when the pass holds max(1, 1024 // size) rung
-members, the most a pass may stack.  Rung members that miss by over 1e-12 of
-the rung, and rungs the step h crosses without a member, are redone together,
-one more pass per round of Newton corrections h += gap / (dc[0]/ds) from the
-FSAL dc[0]/ds.  The rungs are recorded in time order, then the core advances
-by h.  The normalized flow runs on tau, with the rates of its linearization at
-the circle of its current mean; its passes have one member, the step clipped
-onto the next tau mark.
+``max_step``, ``min_step`` and the step floor act on model time.  Its levels
+are a log ladder in c[0], each aimed by a predicted c[0](h).  The normalized
+flow runs on tau, with the rates of its linearization at the circle of its
+current mean; its levels are the tau marks in the clock slot, each aimed
+exactly.
 """
 
 from __future__ import annotations
@@ -96,8 +101,11 @@ class StepControl:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_step", "min_step", "k0_stop"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # an infinite k0_stop has no last rung
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        if isinstance(self.snapshots_per_decade, bool) or not isinstance(self.snapshots_per_decade, int):
+            raise ValueError(f"snapshots_per_decade must be an integer, got {self.snapshots_per_decade!r}")
         if self.min_step > self.max_step:
             raise ValueError("min_step must not exceed max_step")
         if self.rel_tol < 1e-13:
@@ -110,14 +118,14 @@ class StepControl:
 class RunStats:
     """What one run did, counted per member of a pass (see the module
     docstring), each member a step call of six RHS evaluations.  ``accepted``
-    counts the accepted members that are not aimed at a blow-up rung (the
+    counts the accepted members that are not aimed at a level (the
     controller's steps, at most one per pass); ``landing`` the members of
-    accepted passes aimed at a rung, and their Newton redos; ``rejected``
-    every member of a rejected pass.  ``rhs_evals`` counts evaluations per
-    member plus the first, so a pass of k members adds 6 k for its six
-    stacked RHS calls.  dt spans the steps the core advanced by, in model
-    time; ``min_trap_margin`` covers the start, every rung recorded and every
-    point advanced to."""
+    accepted passes aimed at a level, a blow-up rung or a tau mark, and their
+    Newton redos; ``rejected`` every member of a rejected pass.
+    ``rhs_evals`` counts evaluations per member plus the first, so a pass of
+    k members adds 6 k for its six stacked RHS calls.  dt spans the steps the
+    core advanced by that moved t, in model time; ``min_trap_margin`` covers
+    the start, every rung recorded and every point advanced to."""
 
     accepted: int = 0
     rejected: int = 0
@@ -201,14 +209,14 @@ _GROW, _SHRINK = 5.0, 0.2
 # Passes a run may try before it ends in a step_floor event.
 _MAX_PASSES = 2_000_000
 
-# Rung members times state size a blow-up pass may stack (module docstring):
-# about 1 MB of temporaries, and one member from size 513 (n_max 511) on.
+# Level members times state size a pass may stack (module docstring): about
+# 1 MB of temporaries, and one member from size 513 (n_max 511) on.
 _PASS_SIZE = 2**10
 
 # Spacing in tau of the normalized flow's snapshots when no marks are given.
 _TAU_INTERVAL = 0.1
 
-# Gap in tau within which a step lands on a mark, and two marks count as one.
+# Gap in tau within which two marks, or a mark and the start, count as one.
 _MARK_TOL = 1e-12
 
 
@@ -231,7 +239,8 @@ class _Stepper:
     N(y) and profile grid from ``rhs(ys, out)`` (which writes N of each row of
     the stack ys, modes and slot, into out and returns the rows' profile
     grids), the diagonal ``rates`` L (zero: plain DP5), ``clock(y)`` giving the
-    model time t and dt/ds, the adaptive loop and the run's ``RunStats``."""
+    model time t and dt/ds, the adaptive loop with its snapshot policy (module
+    docstring) and the run's ``RunStats``."""
 
     def __init__(self, params, y, control: StepControl, rhs, rates=None, clock=_own_clock):
         self.params, self.control, self.rhs, self.clock = params, control, rhs, clock
@@ -277,17 +286,19 @@ class _Stepper:
     def accept(self, member: _Trial):
         self.y, self.f, self.grid = member.y, member.ks[6], member.grid
 
-    def land(self, rungs: list):
-        """Newton on the real steps of ``rungs``, pairs [level, member] of a
-        rung c[0] == level and an accepted member aimed at or across it: redo
-        every member whose c[0] misses its level by over 1e-12 of it with
-        h += gap / (dc[0]/ds) at its end, all in one pass, until none does (at
-        most four passes; each redo is a landing step).  Replaces the members."""
+    def land(self, slot: int, crossed: list):
+        """Newton on the real steps of ``crossed``, pairs [level, member] of a
+        level y[slot] == level and an accepted member aimed at or across it:
+        redo every member whose y[slot] misses its level by over 1e-12 of it
+        with h += gap / (dy[slot]/ds) at its end, all in one pass, until none
+        does (at most four passes; each redo is a landing step).  Replaces the
+        members."""
         for _ in range(4):
-            redo = [r for r in rungs if abs(r[0] - r[1].y[0].real) > _LANDING_TOL * r[0]]
+            redo = [r for r in crossed if abs(r[0] - r[1].y[slot].real) > _LANDING_TOL * abs(r[0])]
             if not redo:
                 break
-            hs = [m.h + (level - m.y[0].real) / (self.rates[0] * m.y[0].real + m.ks[6, 0].real) for level, m in redo]
+            rate = self.rates[slot]  # dy[slot]/ds = L y + N(y) at the member's end
+            hs = [m.h + (level - m.y[slot].real) / (rate * m.y[slot].real + m.ks[6, slot].real) for level, m in redo]
             trial = self.attempt(np.array(hs))
             if np.isinf(trial.err).any():  # no controller here to shrink the step
                 raise IntegrationError(f"non-finite derivative in a landing step at t={self.t:.6g}")
@@ -311,48 +322,76 @@ class _Stepper:
             return True
         return False
 
-    def run(self, traj, h, done, plan, settle):
-        """The adaptive loop both flows share; True when ``done()`` ended it.
-        Steps h are on the core's clock s; ``max_step`` and the step floor act
-        on the model-time step dt = h dt/ds of the member advanced by.
-        ``plan(h)`` gives a pass's lengths, the last the step to advance by,
-        which may shorten h onto a mark; the next pass starts from the
-        unshortened h.  ``settle(trial)`` counts the accepted pass's members,
-        moves onto its points in time order, yielding at each whether to
-        record it, and ends on the point advanced to.  Fills ``traj.stats``."""
-        control, stats, finished = self.control, self.stats, False
+    def run(self, traj, h: float, slot: int, levels: list, aim, moved) -> bool:
+        """The adaptive loop both flows share: y[slot] reaches the increasing
+        ``levels`` in turn (module docstring); True when it reached the last.
+        ``aim(level, h0)`` predicts the length that reaches a level from h0,
+        and ``moved(member, last)`` runs at each point the core moves onto,
+        ``last`` at the one it advanced to.  ``max_step`` and the step floor act
+        on dt = h dt/ds of the controller's step h.  Ends on the point reached,
+        appended unless recorded, and fills ``traj.stats``."""
+        control, stats, k, reached = self.control, self.stats, 0, False
+        most = max(1, _PASS_SIZE // self.y.size)
         for _ in range(_MAX_PASSES):
-            if finished := done():
+            if reached := k == len(levels):
                 break
             t, speed = self.clock(self.y)
             proposal = min(h, control.max_step / speed)
-            hs = plan(proposal)
-            h = float(hs[-1])
-            dt = h * speed
+            dt = proposal * speed
             if t + dt == t or dt < control.min_step:
                 traj.add_event(t, "step_floor", f"dt={dt:.3e}")
                 break
+            # a member at each level aimed inside (0, proposal], then the
+            # proposal itself, unless the pass ends on a level: the run's
+            # last, or the last of the most a pass stacks
+            hs, at, ahead = [], 0.0, levels[k : k + most]
+            while len(hs) < len(ahead) and (at := aim(ahead[len(hs)], at)) <= proposal:
+                hs.append(at)
+            aimed = len(hs)
+            on_level = aimed == len(ahead)
+            hs = np.array(hs if on_level else hs + [proposal])
+            h = float(hs[-1])
             trial = self.attempt(hs)
             err = float(max(trial.err))
             if err > 1.0:
                 stats.rejected += hs.size
                 h *= _controller_factor(err)
                 continue
-            ended = False
-            for record in settle(trial):
+            stats.accepted += hs.size - aimed
+            stats.landing += aimed
+            # the levels crossed, each with the member aimed at it or, where
+            # the aim missed it, the step advanced by; a pass that ends on a
+            # level keeps just its aimed levels
+            advance = trial.member(hs.size - 1)
+            top, cap = (math.inf, aimed) if on_level else (advance.y[slot].real, math.inf)
+            crossed = []
+            while k < len(levels) and levels[k] <= top and len(crossed) < cap:
+                crossed.append([levels[k], trial.member(len(crossed)) if len(crossed) < aimed else advance])
+                k += 1
+            self.land(slot, crossed)
+            points = [(member, True) for _, member in crossed]
+            if not (on_level or k == len(levels) or crossed and crossed[-1][1] is advance):
+                points.append((advance, False))
+            ended, last = False, points[-1][0]
+            for member, record in points:
+                self.accept(member)
+                moved(member, member is last)
                 if ended := self.visit(traj, t, record):
                     break
             dt = self.t - t
-            stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
+            if dt > 0.0:  # near the step floor an accepted pass may no longer move t
+                stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
             if ended:
                 break
             h = proposal if h < proposal else h * _controller_factor(float(trial.err[-1]))
         else:
             traj.add_event(self.t, "step_floor", "max_steps exhausted")
+        if self.t > traj.snapshots[-1].t:
+            traj.append(self.state())
         stats.dt_min = stats.dt_min if stats.dt_max else 0.0
         stats.wall_s = time.perf_counter() - self.start
         traj.stats = stats
-        return finished
+        return reached
 
 
 def integrate(
@@ -404,10 +443,13 @@ def integrate(
     core = _Stepper(init.params, np.append(init.coeffs, z0), control, rhs, rates, clock)
     traj = Trajectory(params=init.params, snapshots=[init])
     ratio = 10.0 ** (1.0 / control.snapshots_per_decade)
-    # a rung on k0_stop counts as reached when landed within tolerance below it
-    stop = control.k0_stop * (1.0 - _LANDING_TOL)
-    next_level, negative, decay, aimed = init.mean * ratio, False, 0.0, []
-    most_aimed = max(1, _PASS_SIZE // core.y.size)
+    # the ladder up to the first rung at k0_stop or above; a rung on k0_stop
+    # counts as reached when landed within tolerance below it
+    stop, rungs, level = control.k0_stop * (1.0 - _LANDING_TOL), [], init.mean
+    while level < stop:
+        level *= ratio
+        rungs.append(level)
+    negative, decay = False, 0.0
 
     def watch_trap():
         nonlocal negative
@@ -428,55 +470,19 @@ def integrate(
             h = p * math.log(level / base)
         return h
 
-    def plan(h: float) -> np.ndarray:
-        # a member at each rung aimed inside (0, h], then h itself, unless the
-        # pass ends on a rung: the stop rung, or the last of most_aimed
-        aimed.clear()
-        hs, level, at = [], next_level, 0.0
-        while (at := aim(level, at)) <= h:
-            aimed.append(level)
-            hs.append(at)
-            if level >= stop or len(hs) == most_aimed:
-                return np.array(hs)
-            level *= ratio
-        return np.array(hs + [h])
-
-    def settle(trial: _Trial):
-        nonlocal next_level, decay
-        advance = trial.member(trial.h.size - 1)
-        # the rungs crossed, each with the member aimed at it or, where the aim
-        # missed it, the step advanced by; a pass that ends on a rung keeps
-        # just its aimed rungs, and the stop rung ends every pass
-        on_rung = len(aimed) == trial.h.size
-        core.stats.accepted += trial.h.size - len(aimed)
-        core.stats.landing += len(aimed)
-        top, most = (math.inf, len(aimed)) if on_rung else (advance.y[0].real, math.inf)
-        rungs = []
-        while next_level <= top and len(rungs) < most and not (rungs and rungs[-1][0] >= stop):
-            rungs.append([next_level, trial.member(len(rungs)) if len(rungs) < len(aimed) else advance])
-            next_level *= ratio
-        if rungs:
-            core.land(rungs)
-        points = [(member, True) for _, member in rungs]
-        if not (on_rung or rungs and (rungs[-1][0] >= stop or rungs[-1][1] is advance)):
-            points.append((advance, False))
-        final = points[-1][0]
-        start, end = final.ks[0, 0].real, final.ks[6, 0].real
-        decay = max(0.0, math.log(start / end) / final.h) if start * end > 0.0 else 0.0
-        for member, record in points:
-            core.accept(member)
-            if trap_c is not None:
-                watch_trap()
-            yield record
+    def moved(member: _Trial, last: bool):
+        nonlocal decay
+        if trap_c is not None:
+            watch_trap()
+        if last:  # how fast N_0 faded over the step advanced by
+            start, end = member.ks[0, 0].real, member.ks[6, 0].real
+            decay = max(0.0, math.log(start / end) / member.h) if start * end > 0.0 else 0.0
 
     if trap_c is not None:
         core.stats.min_trap_margin = math.inf
         watch_trap()
-    reached = core.run(traj, 0.01 * p, lambda: core.y[0].real >= stop, plan, settle)
-    if reached:
+    if core.run(traj, 0.01 * p, 0, rungs, aim, moved):
         traj.add_event(core.t, "blow_up_stop", f"k0={core.y[0].real:.6e}")
-    if core.t > traj.snapshots[-1].t:
-        traj.append(core.state())
     return traj
 
 
@@ -491,19 +497,19 @@ def integrate_normalized(
 
     The steady state u == 1 has one linearly unstable direction (the mean,
     rate p+1, the scaling mode).  With ``renormalize_mean`` the mean is
-    projected back to 1 after every accepted step, which quotients that
-    gauge direction and is required for clean rate measurements once the
+    projected back to 1 at every point the core moves onto, which quotients
+    that gauge direction and is required for clean rate measurements once the
     unstable contamination (seeded at O(deviation^2) by the quadratic
     coupling) would otherwise outgrow the decaying modes.  The core's rates
     are the linearization's at the circle of the current mean m,
     L_n = m^{p+1} (p+2 - p lam^2 n^2) - 1, and 0 on the mean, the gauge
     direction, so N = 0 on every circle.  L is refrozen at the new mean after
-    each accepted step (the frozen linearization of exponential Rosenbrock
+    each accepted pass (the frozen linearization of exponential Rosenbrock
     methods; Hochbruck & Ostermann, Acta Numerica 19, 2010, 4).  Snapshots
     land on the marks ``tau_snapshots`` in (init.t, tau_horizon], else on the
-    multiples of 0.1 (``_TAU_INTERVAL``) and on tau_horizon; marks within
-    1e-12 of the one before (or of the start) count once, and the run ends on
-    its last mark.
+    multiples of 0.1 (``_TAU_INTERVAL``) and on tau_horizon, each the member
+    of a pass aimed at it (module docstring); marks within 1e-12 of the one
+    before (or of the start) count once, and the run ends on its last mark.
     """
     control = control or StepControl()
     p, lam, n = init.params.p, init.params.lam, np.arange(1, init.params.n_max + 1)
@@ -533,26 +539,15 @@ def integrate_normalized(
     for mark in sorted(t for t in tau_snapshots if t <= tau_horizon):
         if mark > (marks[-1] if marks else state.t) + _MARK_TOL:
             marks.append(mark)
-    on_mark = False
 
-    def plan(h: float) -> np.ndarray:
-        nonlocal on_mark
-        on_mark = core.t + h >= marks[0] - _MARK_TOL
-        return np.array([marks[0] - core.t if on_mark else h])
-
-    def settle(trial: _Trial):
-        core.stats.accepted += 1
-        core.accept(trial.member(0))
+    def moved(member: _Trial, last: bool):
         if renormalize_mean:
             core.y[0] = 1.0
             core.reset(core.y)
-        else:  # refreeze L (the core's rates too) at the new mean; N = p evaluate(y) - y - L y moves with it
+        elif last:  # refreeze L (the core's rates too) at the new mean; N = p evaluate(y) - y - L y moves with it
             new = frozen(core.y[0].real)
             core.f += (rates - new) * core.y
             rates[:] = new
-        if on_mark:
-            marks.pop(0)
-        yield on_mark
 
-    core.run(traj, control.max_step, lambda: not marks, plan, settle)
+    core.run(traj, control.max_step, -1, marks, lambda mark, _: mark - core.t, moved)
     return traj

@@ -594,8 +594,10 @@ class TestAnalyze:
             ("params", None, "malformed record"),
             ("params", [1, 2], "malformed record"),
             ("params", {"p": 1, "lambda": None, "rational": [7, 2], "n_max": 8}, "malformed record"),
+            ("params", {"p": True, "lambda": 3.5, "rational": [7, 2], "n_max": 8}, "p must be a positive integer"),
+            ("params", {"p": 1, "lambda": 3.5, "rational": [7, 2], "n_max": True}, "n_max must be a positive integer"),
         ],
-        ids=["config_null", "config_list", "params_null", "params_list", "lambda_null"],
+        ids=["config_null", "config_list", "params_null", "params_list", "lambda_null", "p_bool", "n_max_bool"],
     )
     def test_malformed_header_exit_4(self, pert_run, tmp_path, capsys, field, value, message):
         bad = self.with_header(pert_run, tmp_path, **{field: value})

@@ -62,13 +62,23 @@ class TestStepControl:
             StepControl(abs_tol=-1.0)
         with pytest.raises(ValueError, match="min_step must not exceed max_step"):
             StepControl(min_step=1e-2, max_step=1e-3)
+        # values the config parser rejects too; a rung ladder towards an
+        # infinite k0_stop would never end
+        not_finite = {"rel_tol": math.nan, "abs_tol": math.nan, "k0_stop": math.inf, "max_step": math.inf}
+        for name, value in not_finite.items():
+            with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
+                StepControl(**{name: value})
+        with pytest.raises(ValueError, match="snapshots_per_decade must be an integer"):
+            StepControl(snapshots_per_decade=2.5)
 
     # A value off the default for each field; a field without one fails the test.
+    # min_step 1e-2 lies above the smallest step the controller takes in either
+    # run (about 9e-3 in the normalized one), so it ends both in step_floor.
     MOVED = {
         "rel_tol": 1e-8,
         "abs_tol": 1e-10,
         "max_step": 1e-2,
-        "min_step": 1e-3,
+        "min_step": 1e-2,
         "k0_stop": 50.0,
         "snapshots_per_decade": 10,
     }
@@ -521,11 +531,14 @@ class TestIntegrateNormalized:
     def test_renormalizing_costs_one_extra_evaluation_per_step(self):
         params = FlowParams(p=1, lam=2.0, n_max=4)
         init = make_state(params, {0: 1.0, 1: 0.0025})
+        # the marks are landing members, each aimed exactly (never redone), so
+        # the points moved onto are the accepted steps and the landing members
         plain = integrate_normalized(init, 0.5, StepControl()).stats
-        assert plain.rhs_evals == 1 + 6 * (plain.accepted + plain.rejected)
+        assert plain.rhs_evals == 1 + 6 * (plain.accepted + plain.rejected + plain.landing)
         pinned = integrate_normalized(init, 0.5, StepControl(), renormalize_mean=True).stats
-        assert pinned.rhs_evals == 1 + 6 * (pinned.accepted + pinned.rejected) + pinned.accepted
-        assert pinned.landing == 0 and pinned.min_trap_margin is None
+        members = pinned.accepted + pinned.rejected + pinned.landing
+        assert pinned.rhs_evals == 1 + 6 * members + pinned.accepted + pinned.landing
+        assert pinned.landing == 5 and pinned.min_trap_margin is None
 
     def test_initial_positivity_required(self):
         params = FlowParams(p=1, lam=2.0, n_max=4)
@@ -554,7 +567,18 @@ class TestIntegrateNormalized:
         with np.errstate(over="ignore", invalid="ignore"):
             traj = integrate_normalized(init, 10.0, StepControl())
         assert traj.has_event("step_floor")
-        assert traj.snapshots[-1].t < 10.0
+        # the run keeps the point it reached, and dt spans the steps that moved t
+        assert 0.0 < traj.snapshots[-1].t < 10.0
+        assert 0.0 < traj.stats.dt_min <= traj.stats.dt_max
+
+    def test_min_step_does_not_bound_the_gap_to_a_mark(self):
+        # a mark is a member beside the controller's step, so min_step bounds
+        # the controller's steps only (here at least about 9e-3), not the gap
+        # from a step to the next mark
+        init = make_state(FlowParams(p=1, lam=2.0, n_max=8), {0: 1.0, 1: 0.0025, 2: 0.001j})
+        traj = integrate_normalized(init, 1.0, StepControl(min_step=1e-3))
+        assert traj.events == []
+        assert traj.snapshots[-1].t == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
     def test_collapse_takes_few_steps(self):
         # the rates are refrozen at the shrinking mean, so they never grow
