@@ -199,7 +199,9 @@ def reconstruct_curve(
     if samples_per_turn < 64:
         raise ValueError("need at least 64 samples per turn")
     nu, phases, tangent = _frame_grid(state.params.lam, state.params.n_max, m, samples_per_turn)
-    k = state.mean + 2.0 * np.real(phases @ state.coeffs[1:])
+    # einsum's own loop, not BLAS: a zgemv spreads this small product over
+    # every BLAS thread, about 40 times slower on two cores than one
+    k = state.mean + 2.0 * np.real(np.einsum("ij,j->i", phases, state.coeffs[1:]))
     if np.min(k) <= 0:
         raise PositivityError(f"curvature must be positive to reconstruct; min {np.min(k):.3e}")
     ds = 1.0 / k

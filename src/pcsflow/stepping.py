@@ -110,8 +110,8 @@ class StepControl:
             raise ValueError("min_step must not exceed max_step")
         if self.rel_tol < 1e-13:
             raise ValueError("rel_tol below 1e-13 is round-off dominated")
-        if self.snapshots_per_decade < 1:
-            raise ValueError("snapshots_per_decade must be >= 1")
+        if not 1 <= self.snapshots_per_decade <= MAX_SNAPSHOTS_PER_DECADE:
+            raise ValueError(f"snapshots_per_decade must be between 1 and {MAX_SNAPSHOTS_PER_DECADE}")
 
 
 @dataclass
@@ -122,8 +122,8 @@ class RunStats:
     controller's steps, at most one per pass); ``landing`` the members of
     accepted passes aimed at a level, a blow-up rung or a tau mark, and their
     Newton redos; ``rejected`` every member of a rejected pass.
-    ``rhs_evals`` counts evaluations per member plus the first, so a pass of
-    k members adds 6 k for its six stacked RHS calls.  dt spans the steps the
+    ``rhs_evals`` counts six per member plus the first: 1 + 6 (accepted +
+    rejected + landing) in either flow, pinned or not.  dt spans the steps the
     core advanced by that moved t, in model time; ``min_trap_margin`` covers
     the start, every rung recorded and every point advanced to."""
 
@@ -203,6 +203,10 @@ def _own_clock(y: np.ndarray) -> tuple[float, float]:
     return float(y[-1].real), 1.0
 
 
+# Most snapshots_per_decade: the rung ratio 10^(1/spd) rounds to 1 from about
+# 2e16 on, a ladder without end, and 1e9 would build 6e9 rungs for six decades.
+MAX_SNAPSHOTS_PER_DECADE = 10_000
+
 # Bounds on the factor by which the controller changes the step after a trial.
 _GROW, _SHRINK = 5.0, 0.2
 
@@ -245,8 +249,9 @@ class _Stepper:
     def __init__(self, params, y, control: StepControl, rhs, rates=None, clock=_own_clock):
         self.params, self.control, self.rhs, self.clock = params, control, rhs, clock
         self.rates = np.zeros(y.size) if rates is None else rates
-        self.stats, self.start = RunStats(dt_min=math.inf), time.perf_counter()
-        self.reset(y)
+        self.stats, self.start = RunStats(rhs_evals=1, dt_min=math.inf), time.perf_counter()
+        self.y, self.f = y, np.empty_like(y)
+        self.grid = self.rhs(y[None], self.f[None])[0]  # the first evaluation
         gmin = float(self.grid.min())
         if gmin <= 0.0:
             raise PositivityError(f"initial profile must be strictly positive; grid min {gmin:.3e}")
@@ -257,11 +262,6 @@ class _Stepper:
 
     def state(self) -> SpectralState:
         return SpectralState(self.params, self.t, self.y[:-1])
-
-    def reset(self, y: np.ndarray):  # move to y at the current time
-        self.y, self.f = y, np.empty_like(y)
-        self.grid = self.rhs(y[None], self.f[None])[0]
-        self.stats.rhs_evals += 1
 
     def attempt(self, hs: np.ndarray) -> _Trial:
         """A pass: one Lawson DP5(4) step from the current point per length in
@@ -348,7 +348,7 @@ class _Stepper:
             while len(hs) < len(ahead) and (at := aim(ahead[len(hs)], at)) <= proposal:
                 hs.append(at)
             aimed = len(hs)
-            on_level = aimed == len(ahead)
+            on_level = aimed == len(ahead) or hs[-1:] == [proposal]  # no second member at an aimed proposal
             hs = np.array(hs if on_level else hs + [proposal])
             h = float(hs[-1])
             trial = self.attempt(hs)
@@ -496,20 +496,21 @@ def integrate_normalized(
     """Integrate the normalized flow to tau = tau_horizon.
 
     The steady state u == 1 has one linearly unstable direction (the mean,
-    rate p+1, the scaling mode).  With ``renormalize_mean`` the mean is
-    projected back to 1 at every point the core moves onto, which quotients
-    that gauge direction and is required for clean rate measurements once the
-    unstable contamination (seeded at O(deviation^2) by the quadratic
-    coupling) would otherwise outgrow the decaying modes.  The core's rates
-    are the linearization's at the circle of the current mean m,
-    L_n = m^{p+1} (p+2 - p lam^2 n^2) - 1, and 0 on the mean, the gauge
+    rate p+1, the scaling mode).  With ``renormalize_mean`` the run starts at
+    mean 1 and the field's mean derivative is 0, so every stage keeps the mean
+    exactly 1 at no extra evaluation; this quotients that gauge direction, as
+    clean rate measurements need once the unstable contamination (seeded at
+    O(deviation^2) by the quadratic coupling) would outgrow the decaying modes.
+    The core's rates are the linearization's at the circle of the current mean
+    m, L_n = m^{p+1} (p+2 - p lam^2 n^2) - 1, and 0 on the mean, the gauge
     direction, so N = 0 on every circle.  L is refrozen at the new mean after
     each accepted pass (the frozen linearization of exponential Rosenbrock
     methods; Hochbruck & Ostermann, Acta Numerica 19, 2010, 4).  Snapshots
     land on the marks ``tau_snapshots`` in (init.t, tau_horizon], else on the
     multiples of 0.1 (``_TAU_INTERVAL``) and on tau_horizon, each the member
-    of a pass aimed at it (module docstring); marks within 1e-12 of the one
-    before (or of the start) count once, and the run ends on its last mark.
+    of a pass aimed at it (module docstring), the first pass no longer than to
+    the first mark; marks within 1e-12 of the one before (or of the start)
+    count once, and the run ends on its last mark.
     """
     control = control or StepControl()
     p, lam, n = init.params.p, init.params.lam, np.arange(1, init.params.n_max + 1)
@@ -525,7 +526,7 @@ def integrate_normalized(
         c = y[:, :-1]
         deriv, grid = evaluate(c)
         deriv = p * deriv - c
-        deriv[:, 0] = deriv[:, 0].real
+        deriv[:, 0] = 0.0 if renormalize_mean else deriv[:, 0].real
         np.subtract(deriv, rates[:-1] * c, out=out[:, :-1])
         out[:, -1] = 1.0
         return grid
@@ -541,13 +542,11 @@ def integrate_normalized(
             marks.append(mark)
 
     def moved(member: _Trial, last: bool):
-        if renormalize_mean:
-            core.y[0] = 1.0
-            core.reset(core.y)
-        elif last:  # refreeze L (the core's rates too) at the new mean; N = p evaluate(y) - y - L y moves with it
+        if last:  # refreeze L (the core's rates too) at the new mean; N = p evaluate(y) - y - L y moves with it
             new = frozen(core.y[0].real)
             core.f += (rates - new) * core.y
             rates[:] = new
 
-    core.run(traj, control.max_step, -1, marks, lambda mark, _: mark - core.t, moved)
+    h = min(control.max_step, marks[0] - state.t) if marks else control.max_step
+    core.run(traj, h, -1, marks, lambda mark, _: mark - core.t, moved)
     return traj

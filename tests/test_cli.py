@@ -180,6 +180,7 @@ class TestStrictConfig:
             ("analysis", {"rate_tolerance": 0}, "analysis.rate_tolerance must be positive"),
             ("analysis", {"rate_tolerance": -0.1}, "analysis.rate_tolerance must be positive"),
             ("control", {"min_step": 1.0e-2, "max_step": 1.0e-3}, "control: min_step must not exceed max_step"),
+            ("control", {"snapshots_per_decade": 10**17}, "control: snapshots_per_decade must be between 1 and"),
         ],
         ids=[
             "n_max_above_bound",
@@ -188,6 +189,7 @@ class TestStrictConfig:
             "zero_rate_tolerance",
             "negative_rate_tolerance",
             "min_step_above_max_step",
+            "unbounded_snapshot_ladder",
         ],
     )
     def test_out_of_range_value(self, tmp_path, capsys, section, value, message):

@@ -342,7 +342,7 @@ def reference_reconstruct_curve(state, m, samples_per_turn=1024):
     nu = np.linspace(0.0, 2.0 * math.pi * m, total + 1)
     n = np.arange(1, state.params.n_max + 1)
     phases = np.exp(1j * state.params.lam * np.outer(nu, n))
-    k = state.mean + 2.0 * np.real(phases @ state.coeffs[1:])
+    k = state.mean + 2.0 * np.real(np.einsum("ij,j->i", phases, state.coeffs[1:]))
     ds = 1.0 / k
     tangent = np.stack([-np.sin(nu), np.cos(nu)], axis=1)
     integrand = tangent * ds[:, None]

@@ -70,6 +70,12 @@ class TestStepControl:
                 StepControl(**{name: value})
         with pytest.raises(ValueError, match="snapshots_per_decade must be an integer"):
             StepControl(snapshots_per_decade=2.5)
+        # the rung ratio 10^(1/spd) rounds to 1 at 1e17, where the ladder would
+        # never end; the bound stops such values long before
+        assert 10.0 ** (1 / 10**17) == 1.0
+        for spd in (0, stepping.MAX_SNAPSHOTS_PER_DECADE + 1, 10**17):
+            with pytest.raises(ValueError, match="snapshots_per_decade must be between 1 and 10000"):
+                StepControl(snapshots_per_decade=spd)
 
     # A value off the default for each field; a field without one fails the test.
     # min_step 1e-2 lies above the smallest step the controller takes in either
@@ -528,17 +534,45 @@ class TestIntegrateNormalized:
         expected = np.exp(-2.0 * (last.t - first.t))
         assert drop == pytest.approx(expected, rel=0.02)
 
-    def test_renormalizing_costs_one_extra_evaluation_per_step(self):
+    def test_pinning_the_mean_costs_no_extra_evaluation(self):
         params = FlowParams(p=1, lam=2.0, n_max=4)
         init = make_state(params, {0: 1.0, 1: 0.0025})
-        # the marks are landing members, each aimed exactly (never redone), so
-        # the points moved onto are the accepted steps and the landing members
+        # the pinned mean is a zero mean derivative in the field, so neither
+        # run evaluates more than the first N(y) and six per member; the marks
+        # are landing members, each aimed exactly (never redone)
         plain = integrate_normalized(init, 0.5, StepControl()).stats
-        assert plain.rhs_evals == 1 + 6 * (plain.accepted + plain.rejected + plain.landing)
         pinned = integrate_normalized(init, 0.5, StepControl(), renormalize_mean=True).stats
-        members = pinned.accepted + pinned.rejected + pinned.landing
-        assert pinned.rhs_evals == 1 + 6 * members + pinned.accepted + pinned.landing
+        for stats in (plain, pinned):
+            assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected + stats.landing)
         assert pinned.landing == 5 and pinned.min_trap_margin is None
+
+    # mean-1 data inside the trapping cone (p=1, lam=2): the seed-0 p=1 input
+    # of the benchmark's normalized_tau8 workload
+    CONE = {
+        0: 1.0,
+        1: 0.0001079812087022787 - 0.002158732899672387j,
+        2: -6.899545316701586e-06 + 0.00012302100418630762j,
+        3: -5.504510792601366e-05 + 3.744192587674409e-05j,
+    }
+
+    def test_pinned_run_converges_in_the_step(self):
+        # the mean is pinned in the field, not projected after each step, so
+        # the run is the mean-1 flow to the error control's accuracy; a
+        # step-then-project split is off by O(step) (about 3e-7 here)
+        init = make_state(FlowParams(p=1, lam=2.0, n_max=8), self.CONE)
+        end, fine = (
+            integrate_normalized(init, 2.0, control, renormalize_mean=True).snapshots[-1]
+            for control in (StepControl(), StepControl(max_step=1e-3))
+        )
+        assert end.t == pytest.approx(2.0, rel=0.0, abs=1e-12) and fine.t == pytest.approx(2.0, rel=0.0, abs=1e-12)
+        assert np.max(np.abs(end.coeffs[1:] - fine.coeffs[1:])) <= 1e-9 * np.max(np.abs(fine.coeffs[1:]))
+
+    def test_first_pass_is_not_longer_than_the_first_mark(self):
+        # a first pass of max_step = 1 would stack ten mark members beside
+        # the step, and take four rejected passes (16 members) to shrink
+        init = make_state(FlowParams(p=1, lam=2.0, n_max=8), self.CONE)
+        stats = integrate_normalized(init, 8.5, StepControl(), renormalize_mean=True).stats
+        assert stats.rejected <= 4
 
     def test_initial_positivity_required(self):
         params = FlowParams(p=1, lam=2.0, n_max=4)
