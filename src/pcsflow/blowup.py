@@ -47,8 +47,9 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
-# Relative gap to a rung within which a landing step counts as on it; the
-# stepping core lands rungs to it, and estimate_T accepts a top rung there.
+# Relative gap to a rung within which a snapshot counts as on it: the stepping
+# ladder's repeated products may end that far below k0_stop, and estimate_T
+# accepts a top rung there.
 _LANDING_TOL = 1e-12
 
 

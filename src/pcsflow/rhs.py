@@ -105,6 +105,11 @@ class RhsPlan:
         vals = k**p * (k * kdd + (p - 1) * kd**2 + (k * k) / p)
         return rfft(vals, norm="forward")[..., :size], k
 
+    def profile(self, coeffs: np.ndarray) -> np.ndarray:
+        """The padded-grid profile k alone, one row per row of a stack: the
+        first of the three grids a call synthesizes."""
+        return irfft(coeffs, n=self.m, norm="forward")
+
 
 def rhs_fast(state: SpectralState) -> np.ndarray:
     """Mode derivative via dealiased pseudospectral products.

@@ -18,39 +18,35 @@ evaluations, and its padded-grid profile gives the positivity check.  The
 error norm is mixed (II.4), with abs_tol max(1, |c[0]|) on the modes, in units
 of the mean like the FFT round-off of N, and abs_tol on the clock slot.
 
-The core works in passes.  A pass takes steps of k lengths from the current
-point at once, its members, stacked on a leading axis: each stage is one RHS
-call on a (k, size) stack, so a pass pays the per-call cost once, not k times.
-The pass is accepted when every member's error norm is <= 1, and a member
-with a non-finite stage has norm inf.  The members' temporaries grow as
-k x size.
+The core takes only the controller's steps.  Snapshots come from each
+accepted step's continuous extension, one formula for every mode:
 
-Both flows place snapshots by one policy: a snapshot is the point where one
-slot of the state reaches the next of an increasing list of levels.  A pass
-takes the controller's step h and, beside it, a member aimed at every level
-that the flow's prediction of that slot places in (0, h], its length the root
-of that prediction (event location, II.6), so that member is the level's
-snapshot.  A pass ends on its last level, without h, when that level is the
-run's last or when the pass holds max(1, 1024 // size) level members, the most
-a pass may stack.  Level members that miss by over 1e-12 of the level, and
-levels the step h crosses without a member, are redone together, one more
-pass per round of Newton corrections h += gap / (dy/ds) from the FSAL dy/ds.
-The levels are recorded in time order, then the core advances by h; the run
-ends on its last level.
+    y(s0 + theta h) = exp(theta z) y + h sum_{k=1..4} k! theta^k phi_k(theta z) P_k,  z = h L,
+
+with P_k = sum_j p_jk K_j from DP5's dense-output weights b_j(theta) =
+sum_k p_jk theta^k (``contd5``, II.6): the exact solution of y' = L y + N(s)
+for N(s) the derivative of DP5's own dense output (the phi-functions of
+exponential integrators; Hochbruck & Ostermann, Acta Numerica 19, 2010, 2),
+so DP5's extension at L = 0, and free of overflow on a stiff mode.  In both
+flows a snapshot is the point where one slot of the state reaches the next of
+an increasing list of levels: each level that an accepted step crosses is
+located on the extension of y[slot] at theta in (0, 1], and the snapshot is
+the extension there with that slot set exactly to the level, its profile from
+one batched irfft of the step's points.  The run ends on its last level.  No
+step may grow the mean by more than a decade: h max(L) <= ln 10.
 
 The blow-up flow runs on the clock ds = c[0]^{p+1} dt, with the constant rates
-L_n = (p+2)/p - lam^2 n^2 (L_0 = 1/p) of the mode system's diagonal part;
-``max_step``, ``min_step`` and the step floor act on model time.  Its levels
-are a log ladder in c[0], each aimed by a predicted c[0](h).  The normalized
-flow runs on tau, with the rates of its linearization at the circle of its
-current mean; its levels are the tau marks in the clock slot, each aimed
-exactly.
+L_n = (p+2)/p - lam^2 n^2 (L_0 = 1/p) of the mode system's diagonal part; its
+levels are a log ladder in c[0].  The normalized flow runs on tau, with the
+rates of its linearization at the circle of its current mean; its levels are
+tau marks.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -80,11 +76,54 @@ _E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
 # The Lawson tableau as weight rows over z = (y, K_1, ..., K_7): the row of
 # stage i+1 is (1, h a_i) times exp((c_i - (0, c_1..c_i)) h L), and the error
 # row is (0, h e) times exp((1 - (0, c)) h L); row i spans _ROWS[i - 1].
-# Columns, one entry per row, to broadcast against a pass's lengths.
+# Columns, one entry per row, to broadcast against the rates.
 _EXPO = np.concatenate([_C[i] - np.r_[0.0, _C[:i]] for i in range(1, 7)] + [1 - np.r_[1.0, _C]])[:, None]
 _UNIT = np.concatenate([np.r_[1.0, np.zeros(i)] for i in range(1, 7)] + [np.zeros(8)])[:, None]
 _COEF = np.concatenate([np.r_[0.0, row] for row in _A] + [np.r_[0.0, _E]])[:, None]
 _ROWS = [slice((i - 1) * (i + 2) // 2, (i - 1) * (i + 2) // 2 + i + 1) for i in range(1, 8)]
+
+# DP5's dense output (contd5) y + h sum_k theta^k P_k, P_k = _DENSE[k - 1] @ K: from the
+# order-5 weights _B, K_1, the FSAL stage K_7 and the weights _D of theta^2 (1 - theta)^2.
+_B = np.r_[_A[-1], 0.0]
+_D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799, -10690763975 / 1880347072])
+_D = np.r_[_D, 701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423]
+_K1, _K7 = np.eye(7)[[0, 6]]
+_DENSE = np.array([_K1, 3 * _B - 2 * _K1 - _K7 + _D, _K1 + _K7 - 2 * _B - 2 * _D, _D])
+
+# 1/k!, k = 0..19: phi_k(0) and phi_4's Taylor coefficients (to x^15/19!, 1e-17 of phi_4 at |x| < 1).
+_INV_FACT = [1 / math.factorial(k) for k in range(20)]
+
+
+def _phi(x):
+    """phi_0(x)..phi_4(x), stacked on a new leading axis for an array x, where
+    phi_0 = exp and phi_{k+1}(x) = (phi_k(x) - 1/k!)/x.  The recurrence runs
+    upward from exp where |x| >= 1; below that, where it would cancel, phi_4 is
+    its Taylor series sum_i x^i/(i+4)! and the recurrence runs downward."""
+    if np.ndim(x) == 0:
+        return _phi_branch(x, abs(x) < 1.0)
+    small = np.abs(x) < 1.0
+    return np.where(small, _phi_branch(np.where(small, x, 0.0), True), _phi_branch(np.where(small, 1.0, x), False))
+
+
+def _phi_branch(x, series: bool) -> list:
+    if not series:
+        phi = [np.exp(x)]
+        for k in range(4):
+            phi.append((phi[-1] - _INV_FACT[k]) / x)
+        return phi
+    phi = [0.0]  # Horner on phi_4's series, whose last four steps are the recurrence down
+    for k in range(19, -1, -1):
+        if k < 4:
+            phi.insert(0, phi[0])
+        phi[0] = phi[0] * x + _INV_FACT[k]
+    return phi
+
+
+def _extend(theta, z, y, hp):
+    """A step's extension (module docstring) with z = h L and hp = h P, at a
+    float theta or a column of them."""
+    phi = _phi(theta * z)
+    return phi[0] * y + sum(math.factorial(k) * theta**k * phi[k] * hp[k - 1] for k in range(1, 5))
 
 
 @dataclass(frozen=True)
@@ -116,20 +155,14 @@ class StepControl:
 
 @dataclass
 class RunStats:
-    """What one run did, counted per member of a pass (see the module
-    docstring), each member a step call of six RHS evaluations.  ``accepted``
-    counts the accepted members that are not aimed at a level (the
-    controller's steps, at most one per pass); ``landing`` the members of
-    accepted passes aimed at a level, a blow-up rung or a tau mark, and their
-    Newton redos; ``rejected`` every member of a rejected pass.
-    ``rhs_evals`` counts six per member plus the first: 1 + 6 (accepted +
-    rejected + landing) in either flow, pinned or not.  dt spans the steps the
+    """What one run did: ``accepted`` and ``rejected`` count the controller's
+    steps, six RHS evaluations each, so ``rhs_evals`` is 1 + 6 (accepted +
+    rejected) in either flow; snapshots cost none.  dt spans the steps the
     core advanced by that moved t, in model time; ``min_trap_margin`` covers
-    the start, every rung recorded and every point advanced to."""
+    the start, every rung recorded and every step's end."""
 
     accepted: int = 0
     rejected: int = 0
-    landing: int = 0
     rhs_evals: int = 0
     dt_min: float = 0.0
     dt_max: float = 0.0
@@ -188,19 +221,14 @@ def step(
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    def modes(y, out):  # one point; the slot is t itself, at rate 1; no profile to check
-        out[0, :-1], out[0, -1] = rhs(state.with_coeffs(y[0, :-1])), 1.0
-        return np.ones((1, 1))
+    def modes(y, out):  # the slot is t itself, at rate 1; no profile to check
+        out[:-1], out[-1] = rhs(state.with_coeffs(y[:-1])), 1.0
+        return np.ones(1)
 
-    trial = _Stepper(state.params, np.append(state.coeffs, state.t), control, modes).attempt(np.array([dt]))
-    if trial.err[0] == np.inf:
-        raise IntegrationError(f"non-finite derivative at t={state.t:.6g} (|y|max={np.max(np.abs(trial.y[0])):.3e})")
-    return state.with_coeffs(trial.y[0, :-1], t=state.t + dt), float(trial.err[0])
-
-
-def _own_clock(y: np.ndarray) -> tuple[float, float]:
-    """Model time t in the last slot, stepped on itself: (t, dt/ds = 1)."""
-    return float(y[-1].real), 1.0
+    trial = _Stepper(state.params, np.append(state.coeffs, state.t), control, modes).attempt(dt)
+    if trial.err == math.inf:
+        raise IntegrationError(f"non-finite derivative at t={state.t:.6g} (|y|max={np.max(np.abs(trial.y)):.3e})")
+    return state.with_coeffs(trial.y[:-1], t=state.t + dt), trial.err
 
 
 # Most snapshots_per_decade: the rung ratio 10^(1/spd) rounds to 1 from about
@@ -210,12 +238,18 @@ MAX_SNAPSHOTS_PER_DECADE = 10_000
 # Bounds on the factor by which the controller changes the step after a trial.
 _GROW, _SHRINK = 5.0, 0.2
 
-# Passes a run may try before it ends in a step_floor event.
-_MAX_PASSES = 2_000_000
+# Steps a run may try before it ends in a step_floor event.
+_MAX_STEPS = 2_000_000
 
-# Level members times state size a pass may stack (module docstring): about
-# 1 MB of temporaries, and one member from size 513 (n_max 511) on.
-_PASS_SIZE = 2**10
+# Most growth of the mean in one step, h max(L) <= ln 10: a decade.  The error
+# estimate checks a step's end, not its extension, and near the circle it
+# fades: on the exact circle the step would grow 5x a try, to h = 31 and
+# over 100 rungs at once.  Rates <= 0 (the normalized flow) leave it inactive.
+_SPAN = math.log(10.0)
+
+# Newton iterations locating a level, and the gap |log(y[slot] / level)| that
+# ends them: a few ulps, above the round-off of evaluating the extension.
+_ROOT_STEPS, _ROOT_TOL = 60, 2e-15
 
 # Spacing in tau of the normalized flow's snapshots when no marks are given.
 _TAU_INTERVAL = 0.1
@@ -228,30 +262,24 @@ def _controller_factor(err_norm: float) -> float:
     return _GROW if err_norm == 0.0 else min(_GROW, max(_SHRINK, 0.9 * err_norm ** (-0.2)))
 
 
-class _Trial(namedtuple("_Trial", "h y ks grid err")):
-    """A pass tried from the current point, one entry per member: its length h
-    on the core's clock, end point y, the seven stages (ks[6, i] is member i's
-    N(y)), the padded-grid profile of y and the scaled error norm."""
-
-    def member(self, i: int) -> "_Trial":
-        """Member i alone, as views: ks[6] is its N(y)."""
-        return _Trial(self.h[i], self.y[i], self.ks[:, i], self.grid[i], self.err[i])
+# A step tried from the current point: length h on the core's clock, end point
+# y, stages ks (ks[6] is N(y)), y's padded-grid profile and scaled error norm.
+_Trial = namedtuple("_Trial", "h y ks grid err")
 
 
 class _Stepper:
     """The raw-array core: the point y = (c[0..n_max], clock slot), its FSAL
-    N(y) and profile grid from ``rhs(ys, out)`` (which writes N of each row of
-    the stack ys, modes and slot, into out and returns the rows' profile
-    grids), the diagonal ``rates`` L (zero: plain DP5), ``clock(y)`` giving the
-    model time t and dt/ds, the adaptive loop with its snapshot policy (module
-    docstring) and the run's ``RunStats``."""
+    N(y) and profile grid from ``rhs(y, out)`` (which writes N(y) into out and
+    returns y's profile grid), the diagonal ``rates`` L (zero: plain DP5),
+    ``clock(y)`` giving the model time t and dt/ds (default: t is the slot),
+    the adaptive loop with its snapshot policy and the run's ``RunStats``."""
 
-    def __init__(self, params, y, control: StepControl, rhs, rates=None, clock=_own_clock):
+    def __init__(self, params, y, control: StepControl, rhs, rates=None, clock=lambda y: (float(y[-1].real), 1.0)):
         self.params, self.control, self.rhs, self.clock = params, control, rhs, clock
         self.rates = np.zeros(y.size) if rates is None else rates
         self.stats, self.start = RunStats(rhs_evals=1, dt_min=math.inf), time.perf_counter()
         self.y, self.f = y, np.empty_like(y)
-        self.grid = self.rhs(y[None], self.f[None])[0]  # the first evaluation
+        self.grid = self.rhs(y, self.f)  # the first evaluation
         gmin = float(self.grid.min())
         if gmin <= 0.0:
             raise PositivityError(f"initial profile must be strictly positive; grid min {gmin:.3e}")
@@ -263,48 +291,55 @@ class _Stepper:
     def state(self) -> SpectralState:
         return SpectralState(self.params, self.t, self.y[:-1])
 
-    def attempt(self, hs: np.ndarray) -> _Trial:
-        """A pass: one Lawson DP5(4) step from the current point per length in
-        ``hs``, without moving.  Each stage is one ``rhs`` call on the stack of
-        members, and each member has the bits of a pass of its length alone."""
+    def attempt(self, h: float) -> _Trial:
+        """One Lawson DP5(4) step of length h from the current point, without
+        moving; a non-finite stage gives error norm inf."""
         y = self.y
-        z = np.empty((8, hs.size, y.size), dtype=np.complex128)
+        z = np.empty((8, y.size), dtype=np.complex128)
         z[0], z[1] = y, self.f
-        w = (_UNIT + _COEF * hs)[..., None] * np.exp((_EXPO * hs)[..., None] * self.rates)
+        w = (_UNIT + _COEF * h) * np.exp(_EXPO * h * self.rates)
         for i, rows in enumerate(_ROWS[:6], 2):
-            y_new = np.einsum("jkn,jkn->kn", w[rows], z[:i])
+            y_new = np.einsum("jn,jn->n", w[rows], z[:i])
             grid = self.rhs(y_new, z[i])
-        self.stats.rhs_evals += 6 * hs.size
-        err = np.einsum("jkn,jkn->kn", w[_ROWS[6]], z)
+        self.stats.rhs_evals += 6
+        err = np.einsum("jn,jn->n", w[_ROWS[6]], z)
         scale = self.control.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        scale[:, :-1] += self.control.abs_tol * max(1.0, abs(y[0]))
-        scale[:, -1] += self.control.abs_tol
-        norms = np.sqrt(np.add.reduce(np.abs(err / scale) ** 2, axis=-1) / y.size)
-        norms[np.isnan(norms)] = np.inf  # a non-finite stage rejects the pass (nan > 1 is False)
-        return _Trial(hs, y_new, z[1:], grid, norms)
+        scale[:-1] += self.control.abs_tol * max(1.0, abs(y[0]))
+        scale[-1] += self.control.abs_tol
+        norm = math.sqrt(np.add.reduce(np.abs(err / scale) ** 2) / y.size)
+        return _Trial(h, y_new, z[1:], grid, math.inf if math.isnan(norm) else norm)
 
-    def accept(self, member: _Trial):
-        self.y, self.f, self.grid = member.y, member.ks[6], member.grid
+    def locate(self, trial: _Trial, hp: np.ndarray, slot: int, levels: list) -> np.ndarray:
+        """theta in (0, 1] where the extension of ``trial`` (hp = h P) reaches
+        each of the increasing ``levels`` above y[slot] in that slot: linear in
+        a clock slot (rate 0, N = 1); else exp(theta z) times a slowly varying
+        factor, so Newton on its log from the secant, bisecting when an iterate
+        leaves the bracket.  A level the extension's end misses is at 1."""
+        y0, rate = self.y[slot].real, self.rates[slot]
+        if rate == 0.0:
+            return np.minimum((np.array(levels) - y0) / trial.h, 1.0)
+        z, hp = trial.h * rate, hp[:, slot].real
 
-    def land(self, slot: int, crossed: list):
-        """Newton on the real steps of ``crossed``, pairs [level, member] of a
-        level y[slot] == level and an accepted member aimed at or across it:
-        redo every member whose y[slot] misses its level by over 1e-12 of it
-        with h += gap / (dy[slot]/ds) at its end, all in one pass, until none
-        does (at most four passes; each redo is a landing step).  Replaces the
-        members."""
-        for _ in range(4):
-            redo = [r for r in crossed if abs(r[0] - r[1].y[slot].real) > _LANDING_TOL * abs(r[0])]
-            if not redo:
-                break
-            rate = self.rates[slot]  # dy[slot]/ds = L y + N(y) at the member's end
-            hs = [m.h + (level - m.y[slot].real) / (rate * m.y[slot].real + m.ks[6, slot].real) for level, m in redo]
-            trial = self.attempt(np.array(hs))
-            if np.isinf(trial.err).any():  # no controller here to shrink the step
-                raise IntegrationError(f"non-finite derivative in a landing step at t={self.t:.6g}")
-            self.stats.landing += len(redo)
-            for i, r in enumerate(redo):
-                r[1] = trial.member(i)
+        def at(theta: float) -> tuple[float, float]:  # y[slot] and its theta-derivative z y + h N
+            value = _extend(theta, z, y0, hp)
+            return value, z * value + sum(k * theta ** (k - 1) * hp[k - 1] for k in range(1, 5))
+
+        top, lo, below, thetas = at(1.0)[0], 0.0, y0, []
+        for level in levels:
+            theta = hi = 1.0
+            if top >= level:
+                theta = lo + (hi - lo) * math.log(level / below) / math.log(top / below)
+                for _ in range(_ROOT_STEPS):
+                    value, slope = at(theta)
+                    gap = math.log(value / level) if value > 0.0 else -math.inf
+                    if abs(gap) <= _ROOT_TOL:
+                        break
+                    lo, hi = (theta, hi) if gap < 0.0 else (lo, theta)
+                    newton = theta - gap * value / slope if slope > 0.0 else math.nan
+                    theta = newton if lo < newton < hi else 0.5 * (lo + hi)
+            thetas.append(theta)
+            lo, below = theta, level
+        return np.array(thetas)
 
     def visit(self, traj, t: float, record: bool) -> bool:
         """Check the point the core moved to from time t: record it when asked
@@ -322,68 +357,54 @@ class _Stepper:
             return True
         return False
 
-    def run(self, traj, h: float, slot: int, levels: list, aim, moved) -> bool:
+    def run(self, traj, h: float, slot: int, levels: list, moved) -> bool:
         """The adaptive loop both flows share: y[slot] reaches the increasing
         ``levels`` in turn (module docstring); True when it reached the last.
-        ``aim(level, h0)`` predicts the length that reaches a level from h0,
-        and ``moved(member, last)`` runs at each point the core moves onto,
-        ``last`` at the one it advanced to.  ``max_step`` and the step floor act
-        on dt = h dt/ds of the controller's step h.  Ends on the point reached,
-        appended unless recorded, and fills ``traj.stats``."""
-        control, stats, k, reached = self.control, self.stats, 0, False
-        most = max(1, _PASS_SIZE // self.y.size)
-        for _ in range(_MAX_PASSES):
+        ``moved(end)`` runs at each point the core moves onto, ``end`` at a
+        step's end.  ``max_step`` and the step floor act on dt = h dt/ds.
+        Ends on the point reached, appended unless recorded, and fills
+        ``traj.stats``."""
+        control, stats, k, ended = self.control, self.stats, 0, False
+        profile = RhsPlan(self.params).profile
+        for _ in range(_MAX_STEPS):
             if reached := k == len(levels):
                 break
             t, speed = self.clock(self.y)
-            proposal = min(h, control.max_step / speed)
+            grow = float(self.rates.max())
+            proposal = min(h, control.max_step / speed, _SPAN / grow if grow > 0.0 else math.inf)
             dt = proposal * speed
             if t + dt == t or dt < control.min_step:
                 traj.add_event(t, "step_floor", f"dt={dt:.3e}")
                 break
-            # a member at each level aimed inside (0, proposal], then the
-            # proposal itself, unless the pass ends on a level: the run's
-            # last, or the last of the most a pass stacks
-            hs, at, ahead = [], 0.0, levels[k : k + most]
-            while len(hs) < len(ahead) and (at := aim(ahead[len(hs)], at)) <= proposal:
-                hs.append(at)
-            aimed = len(hs)
-            on_level = aimed == len(ahead) or hs[-1:] == [proposal]  # no second member at an aimed proposal
-            hs = np.array(hs if on_level else hs + [proposal])
-            h = float(hs[-1])
-            trial = self.attempt(hs)
-            err = float(max(trial.err))
-            if err > 1.0:
-                stats.rejected += hs.size
-                h *= _controller_factor(err)
+            trial = self.attempt(proposal)
+            h = proposal * _controller_factor(trial.err)
+            if trial.err > 1.0:
+                stats.rejected += 1
                 continue
-            stats.accepted += hs.size - aimed
-            stats.landing += aimed
-            # the levels crossed, each with the member aimed at it or, where
-            # the aim missed it, the step advanced by; a pass that ends on a
-            # level keeps just its aimed levels
-            advance = trial.member(hs.size - 1)
-            top, cap = (math.inf, aimed) if on_level else (advance.y[slot].real, math.inf)
-            crossed = []
-            while k < len(levels) and levels[k] <= top and len(crossed) < cap:
-                crossed.append([levels[k], trial.member(len(crossed)) if len(crossed) < aimed else advance])
-                k += 1
-            self.land(slot, crossed)
-            points = [(member, True) for _, member in crossed]
-            if not (on_level or k == len(levels) or crossed and crossed[-1][1] is advance):
-                points.append((advance, False))
-            ended, last = False, points[-1][0]
-            for member, record in points:
-                self.accept(member)
-                moved(member, member is last)
-                if ended := self.visit(traj, t, record):
+            stats.accepted += 1
+            first, k = k, bisect_right(levels, trial.y[slot].real, k)
+            points = []
+            if k > first:  # the levels crossed, each a point on the extension
+                hp = trial.h * (_DENSE @ trial.ks)
+                thetas = self.locate(trial, hp, slot, levels[first:k])
+                ys = _extend(thetas[:, None], trial.h * self.rates, self.y, hp)
+                ys[:, slot] = levels[first:k]
+                points = list(zip(ys, profile(ys[:, :-1])))
+            if k < len(levels):
+                points.append((trial.y, trial.grid))
+            for y, grid in points:
+                self.y, self.grid = y, grid
+                end = y is trial.y
+                if end:
+                    self.f = trial.ks[6]
+                moved(end)
+                if ended := self.visit(traj, t, not end):
                     break
             dt = self.t - t
-            if dt > 0.0:  # near the step floor an accepted pass may no longer move t
+            if dt > 0.0:  # near the step floor an accepted step may no longer move t
                 stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
             if ended:
                 break
-            h = proposal if h < proposal else h * _controller_factor(float(trial.err[-1]))
         else:
             traj.add_event(self.t, "step_floor", "max_steps exhausted")
         if self.t > traj.snapshots[-1].t:
@@ -408,12 +429,12 @@ def integrate(
     dz/ds = -p c[0]^{-(p+2)} N_0: it is constant on the circle, so the step
     adds no quadrature error of dt/ds ~ exp(-(p+1) s/p) to T - t, which the
     normalized-frame analysis needs to far below rel_tol.
-    Snapshots land on each rung of the log ladder in c[0] (snapshots_per_decade
-    per decade), each by the member of a pass aimed at it (module docstring),
-    and the run ends on the first rung at k0_stop or above.  With ``trap_c``
-    the trapping margin is checked at the start, at every rung and at every
-    point advanced to; a trap_violation event marks each turn negative (the
-    run continues).
+    Snapshots are the points of the steps' extensions where c[0] is on a rung
+    of the log ladder (snapshots_per_decade per decade; module docstring), and
+    the run ends on the first rung at k0_stop or above.  No step grows c[0] by
+    more than a decade.  With ``trap_c`` the trapping margin is checked at the
+    start, at every rung and at every step's end; a trap_violation event marks
+    each turn negative (the run continues).
     """
     control = control or StepControl()
     p, lam, n_max = init.params.p, init.params.lam, init.params.n_max
@@ -422,17 +443,12 @@ def integrate(
     mode_rates = rates[:-1].astype(np.complex128)  # cast once, not in every L c (same bits)
 
     def rhs(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        c = y[:, :-1]
+        c = y[:-1]
         deriv, grid = evaluate(c)
-        # a lone member's c[0] is a scalar, cheaper than a column; the speed
-        # c[0]^-(p+1) is p+1 divisions, which round alike on both (numpy's
-        # vector pow does not round as its scalar pow does)
-        c0 = c[0, 0].real if len(c) == 1 else c[:, :1].real
-        speed = 1.0 / c0
-        for _ in range(p):
-            speed = speed / c0
-        nonlinear = np.subtract(deriv * speed, mode_rates * c, out=out[:, :-1])
-        out[:, -1:] = -p * speed / c0 * nonlinear[:, :1]
+        c0 = c[0].real
+        speed = c0 ** -(p + 1)
+        nonlinear = np.subtract(deriv * speed, mode_rates * c, out=out[:-1])
+        out[-1] = -p * speed / c0 * nonlinear[0]
         return grid
 
     def clock(y: np.ndarray) -> tuple[float, float]:
@@ -443,45 +459,28 @@ def integrate(
     core = _Stepper(init.params, np.append(init.coeffs, z0), control, rhs, rates, clock)
     traj = Trajectory(params=init.params, snapshots=[init])
     ratio = 10.0 ** (1.0 / control.snapshots_per_decade)
-    # the ladder up to the first rung at k0_stop or above; a rung on k0_stop
-    # counts as reached when landed within tolerance below it
+    # the ladder up to the first rung at k0_stop or above; a rung that the
+    # repeated products put within tolerance below k0_stop counts as on it
     stop, rungs, level = control.k0_stop * (1.0 - _LANDING_TOL), [], init.mean
     while level < stop:
         level *= ratio
         rungs.append(level)
-    negative, decay = False, 0.0
+    negative = False
 
-    def watch_trap():
+    def moved(end: bool):
         nonlocal negative
+        if trap_c is None:
+            return
         margin = float(trap_margin(core.y[:-1], trap_c))
         core.stats.min_trap_margin = min(core.stats.min_trap_margin, margin)
         if margin < 0.0 and not negative:
             traj.add_event(core.t, "trap_violation", f"margin={margin:.6e}")
         negative = margin < 0.0
 
-    def aim(level: float, h: float) -> float:
-        # fixed-point iterations from h on c[0](h) == level for dc[0]/ds = c[0]/p +
-        # N_0 exp(-decay s), N_0 fading as over the last step; inf: no root
-        c0, n0, rate = core.y[0].real, core.f[0].real, decay + 1 / p
-        for _ in range(4):
-            base = c0 - n0 * math.expm1(-rate * h) / rate
-            if not 0.0 < base < level:
-                return math.inf
-            h = p * math.log(level / base)
-        return h
-
-    def moved(member: _Trial, last: bool):
-        nonlocal decay
-        if trap_c is not None:
-            watch_trap()
-        if last:  # how fast N_0 faded over the step advanced by
-            start, end = member.ks[0, 0].real, member.ks[6, 0].real
-            decay = max(0.0, math.log(start / end) / member.h) if start * end > 0.0 else 0.0
-
     if trap_c is not None:
         core.stats.min_trap_margin = math.inf
-        watch_trap()
-    if core.run(traj, 0.01 * p, 0, rungs, aim, moved):
+        moved(False)
+    if core.run(traj, 0.01 * p, 0, rungs, moved):
         traj.add_event(core.t, "blow_up_stop", f"k0={core.y[0].real:.6e}")
     return traj
 
@@ -504,12 +503,12 @@ def integrate_normalized(
     The core's rates are the linearization's at the circle of the current mean
     m, L_n = m^{p+1} (p+2 - p lam^2 n^2) - 1, and 0 on the mean, the gauge
     direction, so N = 0 on every circle.  L is refrozen at the new mean after
-    each accepted pass (the frozen linearization of exponential Rosenbrock
+    each accepted step (the frozen linearization of exponential Rosenbrock
     methods; Hochbruck & Ostermann, Acta Numerica 19, 2010, 4).  Snapshots
-    land on the marks ``tau_snapshots`` in (init.t, tau_horizon], else on the
-    multiples of 0.1 (``_TAU_INTERVAL``) and on tau_horizon, each the member
-    of a pass aimed at it (module docstring), the first pass no longer than to
-    the first mark; marks within 1e-12 of the one before (or of the start)
+    are the points of the steps' extensions (module docstring) at the marks
+    ``tau_snapshots`` in (init.t, tau_horizon], else at the multiples of 0.1
+    (``_TAU_INTERVAL``) and at tau_horizon; the first step is no longer than
+    to the first mark, marks within 1e-12 of the one before (or of the start)
     count once, and the run ends on its last mark.
     """
     control = control or StepControl()
@@ -523,12 +522,12 @@ def integrate_normalized(
     rates = frozen(state.mean)
 
     def rhs(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        c = y[:, :-1]
+        c = y[:-1]
         deriv, grid = evaluate(c)
         deriv = p * deriv - c
-        deriv[:, 0] = 0.0 if renormalize_mean else deriv[:, 0].real
-        np.subtract(deriv, rates[:-1] * c, out=out[:, :-1])
-        out[:, -1] = 1.0
+        deriv[0] = 0.0 if renormalize_mean else deriv[0].real
+        np.subtract(deriv, rates[:-1] * c, out=out[:-1])
+        out[-1] = 1.0
         return grid
 
     core = _Stepper(state.params, np.append(state.coeffs, state.t), control, rhs, rates)
@@ -541,12 +540,12 @@ def integrate_normalized(
         if mark > (marks[-1] if marks else state.t) + _MARK_TOL:
             marks.append(mark)
 
-    def moved(member: _Trial, last: bool):
-        if last:  # refreeze L (the core's rates too) at the new mean; N = p evaluate(y) - y - L y moves with it
+    def moved(end: bool):
+        if end:  # refreeze L (the core's rates too) at the new mean; N = p evaluate(y) - y - L y moves with it
             new = frozen(core.y[0].real)
             core.f += (rates - new) * core.y
             rates[:] = new
 
     h = min(control.max_step, marks[0] - state.t) if marks else control.max_step
-    core.run(traj, h, -1, marks, lambda mark, _: mark - core.t, moved)
+    core.run(traj, h, -1, marks, moved)
     return traj

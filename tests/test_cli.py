@@ -660,16 +660,16 @@ class TestAnalyze:
     def test_header_echo_with_deleted_keys_gives_the_same_reports(self, pert_run, tmp_path, capsys):
         # older files echo the since-deleted top-level seed, control.safety
         # and control.tau_snapshot_interval, and their trailers carry the
-        # since-deleted run_stats.cap_bound_frac; later ones may carry new
-        # run_stats keys; nothing reads them
+        # since-deleted run_stats.cap_bound_frac and run_stats.landing; later
+        # ones may carry new run_stats keys; nothing reads them
         with open(pert_run) as fh:
             header, *records, trailer = fh.read().splitlines()
         old, old_trailer = json.loads(header), json.loads(trailer)
         assert "seed" not in old["config"] and not {"safety", "tau_snapshot_interval"} & set(old["config"]["control"])
-        assert "cap_bound_frac" not in old_trailer["run_stats"]
+        assert not {"cap_bound_frac", "landing"} & set(old_trailer["run_stats"])
         old["config"]["seed"] = 0
         old["config"]["control"].update(safety=0.8, tau_snapshot_interval=0.1)
-        old_trailer["run_stats"].update(cap_bound_frac=0.0, future_count=7)
+        old_trailer["run_stats"].update(cap_bound_frac=0.0, landing=247, future_count=7)
         path = tmp_path / "old.jsonl"
         path.write_text("\n".join([json.dumps(old), *records, json.dumps(old_trailer)]) + "\n")
         assert cli.read_trajectory(str(path))[0].stats == cli.read_trajectory(pert_run)[0].stats
@@ -756,7 +756,6 @@ class TestTrajectoryIO:
                 RunStats,
                 accepted=count,
                 rejected=count,
-                landing=count,
                 rhs_evals=count,
                 dt_min=finite,
                 dt_max=finite,
