@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AnalysisError
-from .spectral import FlowParams, SpectralState, coeff_seminorm, synthesize
+from .rhs import RhsPlan
+from .spectral import FlowParams, SpectralState, coeff_seminorm, lambda_threshold
 
 if TYPE_CHECKING:  # stepping imports trap_margin from here
     from .stepping import Trajectory
@@ -47,10 +48,9 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
-# Relative gap to a rung within which a snapshot counts as on it: the stepping
-# ladder's repeated products may end that far below k0_stop, and estimate_T
-# accepts a top rung there.
-_LANDING_TOL = 1e-12
+# Relative gap below k0_stop within which the stepping ladder's last rung, a
+# repeated product, counts as on it; estimate_T accepts a top rung there.
+_STOP_TOL = 1e-12
 
 
 def alpha_exponent(lam: float, n: int, p: int) -> float:
@@ -71,10 +71,9 @@ def select_c(params: FlowParams) -> float:
     ``c_is_heuristic`` flags it and reports carry the flag.
     """
     lam, p = params.lam, params.p
-    threshold_sq = (p + 2) / p
-    if lam**2 <= threshold_sq:
+    if not lam > lambda_threshold(p):
         raise ValueError(f"lam={lam} at or below the admissible threshold for p={p}")
-    return 64.0 * lam**2 / (lam**2 - threshold_sq)
+    return 64.0 * lam**2 / (lam**2 - (p + 2) / p)
 
 
 def c_is_heuristic(p: int) -> bool:
@@ -97,9 +96,10 @@ def trap_margin(coeffs: np.ndarray, c: float) -> np.ndarray:
 
 
 def check_hypothesis(psi: SpectralState, c: float) -> HypothesisReport:
-    """Mean-vs-tail admission test: mean(psi) >= c * ||psi||_2 and psi > 0."""
+    """Mean-vs-tail admission test: mean(psi) >= c * ||psi||_2 and psi > 0 on
+    the padded grid (``RhsPlan.profile``) on which ``integrate`` checks its start."""
     s2, margin = float(coeff_seminorm(psi.coeffs, 2.0)), float(trap_margin(psi.coeffs, c))
-    positive = bool(np.min(synthesize(psi)) > 0.0)
+    positive = bool(RhsPlan(psi.params).profile(psi.coeffs).min() > 0.0)
     return HypothesisReport(holds=bool(margin >= 0.0 and positive), mean=psi.mean, seminorm2=s2, margin=margin)
 
 
@@ -185,8 +185,8 @@ def estimate_T(traj: Trajectory) -> tuple[float, float]:
     uncertainty is the spread of the estimate across thirds of the window,
     at least 4 eps |T|.  No correction term (T-t)^{1+2/(p+1)} is fitted:
     fitting it moved T by less than that uncertainty on every run measured.
-    Requires the run to have reached c[0] >= 1e3, a rung landed within
-    ``_LANDING_TOL`` below it included.
+    Requires the run to have reached c[0] >= 1e3, a rung within ``_STOP_TOL``
+    below it included.
     """
     p = traj.params.p
     k0 = traj.k0
@@ -194,7 +194,7 @@ def estimate_T(traj: Trajectory) -> tuple[float, float]:
     if len(k0) < 12:
         raise AnalysisError(f"need at least 12 snapshots to estimate T, have {len(k0)}")
     k0_max = float(k0.max())
-    if k0_max < 1e3 * (1.0 - _LANDING_TOL):
+    if k0_max < 1e3 * (1.0 - _STOP_TOL):
         raise AnalysisError(f"trajectory only reached c[0]={k0_max:.3g}; need >= 1e3")
     sel = k0 >= k0_max / 10.0
     if sel.sum() < 8:

@@ -10,11 +10,11 @@ render     reconstruct curve frames from a trajectory (SVG + CSV tables)
 verify     built-in cross-check suite; exit 0 iff everything passes
 bench      timing table for the direct vs fast mode-derivative paths
 
-Exit codes: 0 clean, 1 config/schema error or an analysis the trajectory
-cannot support (AnalysisError), 2 positivity loss, 3 trap violation,
-4 trajectory unreadable: missing, torn, malformed (no snapshot, no trailer
-last, a bad T_est), or wrong format version,
-5 rational lam required, 6 run ended without a terminal event.
+Exit codes: 0 clean, 1 config/schema error, an output that cannot be written
+or an analysis the trajectory cannot support (AnalysisError), 2 positivity
+loss, 3 trap violation, 4 trajectory unreadable: missing, torn, malformed (no
+snapshot, no trailer last, a bad T_est or analysis echo), or wrong format
+version, 5 rational lam required, 6 run ended without a terminal event.
 """
 
 from __future__ import annotations
@@ -185,7 +185,10 @@ def _parse_init(section: dict) -> dict:
         at = "init.harmonics[]"
         _require_keys(h, {"n", "cos", "sin"}, at, required=("n",))
         cos, sin = (_real(h.get(key, 0.0), f"{at}.{key}") for key in ("cos", "sin"))
-        harmonics.append((_integer(h["n"], f"{at}.n"), cos, sin))
+        n = _integer(h["n"], f"{at}.n")
+        if any(n == other for other, _, _ in harmonics):
+            raise ConfigError(f"init.harmonics repeats n={n}; give each mode once")
+        harmonics.append((n, cos, sin))
     return {"kind": "harmonics", "mean": mean, "harmonics": harmonics}
 
 
@@ -258,15 +261,8 @@ def _plain(section) -> dict:
 
 def emit_config(config: RunConfig) -> dict:
     """Round-trippable plain-dict form of a configuration."""
-    params = {
-        "p": config.params.p,
-        "lambda": (
-            f"{config.params.rational[0]}/{config.params.rational[1]}"
-            if config.params.rational
-            else config.params.lam
-        ),
-        "n_max": config.params.n_max,
-    }
+    fp = config.params
+    params = {"p": fp.p, "lambda": f"{fp.rational[0]}/{fp.rational[1]}" if fp.rational else fp.lam, "n_max": fp.n_max}
     if config.init["kind"] == "perturbation":
         spec = config.init["spec"]
         init = {
@@ -274,17 +270,13 @@ def emit_config(config: RunConfig) -> dict:
                 "m": spec.m,
                 "n": spec.n,
                 "delta": spec.delta,
-                "harmonics": [
-                    {"j": j, "amplitude": amp, "phase": phase} for j, amp, phase in spec.harmonics
-                ],
+                "harmonics": [{"j": j, "amplitude": amp, "phase": phase} for j, amp, phase in spec.harmonics],
             }
         }
     else:
         init = {
             "mean": config.init["mean"],
-            "harmonics": [
-                {"n": n, "cos": a, "sin": b} for n, a, b in config.init["harmonics"]
-            ],
+            "harmonics": [{"n": n, "cos": a, "sin": b} for n, a, b in config.init["harmonics"]],
         }
     return {
         "params": params,
@@ -479,9 +471,13 @@ def cmd_simulate(args) -> int:
     return EXIT_INCOMPLETE
 
 
-def _analysis_from_header(header: dict) -> AnalysisConfig:
-    section = header.get("config", {}).get("analysis")
-    return _parse_analysis(section) if section else AnalysisConfig()
+def _analysis_from_header(header: dict, path: str) -> AnalysisConfig:
+    """The run's analysis settings from its header echo; a malformed echo is
+    a malformed file (``TrajectoryError``)."""
+    try:
+        return _parse_analysis(header.get("config", {}).get("analysis", {}))
+    except ConfigError as exc:
+        raise TrajectoryError(f"{path}: header analysis echo: {exc}") from exc
 
 
 def _report_blowup(traj, cfg: AnalysisConfig) -> dict:
@@ -579,7 +575,7 @@ def cmd_analyze(args) -> int:
     if args.out:
         _make_out_dir(args.out)
     traj, header = read_trajectory(args.traj)
-    cfg = _analysis_from_header(header)
+    cfg = _analysis_from_header(header, args.traj)
     builders = {
         "rates": _report_rates,
         "trap": _report_trap,
@@ -764,9 +760,7 @@ def cmd_bench(args) -> int:
     # dominates Python call overhead
     rows += bench_table(n_values=(512, 1024), p_values=(1,), seed=args.seed)
     header = ["p", "n_max", "fast_ns", "convolution_ns", "direct_ns"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row.get(k, "")) for k in header))
+    lines = [",".join(header)] + [",".join(str(row.get(k, "")) for k in header) for row in rows]
     csv_text = "\n".join(lines) + "\n"
     if args.out:
         with open(os.path.join(args.out, "bench.csv"), "w") as fh:
@@ -839,6 +833,9 @@ def main(argv=None) -> int:
         return EXIT_VERSION
     except FlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # reads raise their own errors: this is an output that cannot be written
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -72,9 +72,9 @@ class NormalizedSeries:
 
     def __post_init__(self):
         if not (len(self.taus) == len(self.sup_dev) == len(self.mean_dev)):
-            raise ValueError("series lengths must agree")
+            raise AnalysisError("series lengths must agree")
         if np.any(np.diff(self.taus) <= 0):
-            raise ValueError("taus must be strictly increasing")
+            raise AnalysisError("taus must be strictly increasing")
 
 
 def normalized_series(

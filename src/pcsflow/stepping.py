@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blowup import _LANDING_TOL, trap_margin
+from .blowup import _STOP_TOL, trap_margin
 from .errors import IntegrationError, PositivityError
 from .rhs import RhsPlan, diagonal_rates, rhs_fast
 from .spectral import SpectralState
@@ -357,15 +357,15 @@ class _Stepper:
             return True
         return False
 
-    def run(self, traj, h: float, slot: int, levels: list, moved) -> bool:
+    def run(self, traj, h: float, slot: int, levels: list, moved, profile) -> bool:
         """The adaptive loop both flows share: y[slot] reaches the increasing
         ``levels`` in turn (module docstring); True when it reached the last.
         ``moved(end)`` runs at each point the core moves onto, ``end`` at a
-        step's end.  ``max_step`` and the step floor act on dt = h dt/ds.
-        Ends on the point reached, appended unless recorded, and fills
-        ``traj.stats``."""
+        step's end, and ``profile`` is the flow's ``RhsPlan.profile``, the
+        padded grids of the levels' points.  ``max_step`` and the step floor
+        act on dt = h dt/ds.  Ends on the point reached, appended unless
+        recorded, and fills ``traj.stats``."""
         control, stats, k, ended = self.control, self.stats, 0, False
-        profile = RhsPlan(self.params).profile
         for _ in range(_MAX_STEPS):
             if reached := k == len(levels):
                 break
@@ -461,7 +461,7 @@ def integrate(
     ratio = 10.0 ** (1.0 / control.snapshots_per_decade)
     # the ladder up to the first rung at k0_stop or above; a rung that the
     # repeated products put within tolerance below k0_stop counts as on it
-    stop, rungs, level = control.k0_stop * (1.0 - _LANDING_TOL), [], init.mean
+    stop, rungs, level = control.k0_stop * (1.0 - _STOP_TOL), [], init.mean
     while level < stop:
         level *= ratio
         rungs.append(level)
@@ -480,7 +480,7 @@ def integrate(
     if trap_c is not None:
         core.stats.min_trap_margin = math.inf
         moved(False)
-    if core.run(traj, 0.01 * p, 0, rungs, moved):
+    if core.run(traj, 0.01 * p, 0, rungs, moved, evaluate.profile):
         traj.add_event(core.t, "blow_up_stop", f"k0={core.y[0].real:.6e}")
     return traj
 
@@ -501,15 +501,15 @@ def integrate_normalized(
     clean rate measurements need once the unstable contamination (seeded at
     O(deviation^2) by the quadratic coupling) would outgrow the decaying modes.
     The core's rates are the linearization's at the circle of the current mean
-    m, L_n = m^{p+1} (p+2 - p lam^2 n^2) - 1, and 0 on the mean, the gauge
-    direction, so N = 0 on every circle.  L is refrozen at the new mean after
-    each accepted step (the frozen linearization of exponential Rosenbrock
-    methods; Hochbruck & Ostermann, Acta Numerica 19, 2010, 4).  Snapshots
-    are the points of the steps' extensions (module docstring) at the marks
-    ``tau_snapshots`` in (init.t, tau_horizon], else at the multiples of 0.1
-    (``_TAU_INTERVAL``) and at tau_horizon; the first step is no longer than
-    to the first mark, marks within 1e-12 of the one before (or of the start)
-    count once, and the run ends on its last mark.
+    m, L_n = p m^{p+1} D_n - 1 with D_n the blow-up flow's ``diagonal_rates``,
+    and 0 on the mean, the gauge direction, so N = 0 on every circle.  L is
+    refrozen at the new mean after each accepted step (the frozen linearization
+    of exponential Rosenbrock methods; Hochbruck & Ostermann, Acta Numerica 19,
+    2010, 4).  Snapshots are the points of the steps' extensions (module
+    docstring) at the marks ``tau_snapshots`` in (init.t, tau_horizon], else at
+    the multiples of 0.1 (``_TAU_INTERVAL``) and at tau_horizon; the first step
+    is no longer than to the first mark, marks within 1e-12 of the one before
+    (or of the start) count once, and the run ends on its last mark.
     """
     control = control or StepControl()
     p, lam, n = init.params.p, init.params.lam, np.arange(1, init.params.n_max + 1)
@@ -517,7 +517,7 @@ def integrate_normalized(
     evaluate = RhsPlan(init.params)
 
     def frozen(mean: float) -> np.ndarray:
-        return np.r_[0.0, mean ** (p + 1) * (p + 2 - p * lam**2 * n**2) - 1.0, 0.0]
+        return np.r_[0.0, p * mean ** (p + 1) * diagonal_rates(p, lam, n) - 1.0, 0.0]
 
     rates = frozen(state.mean)
 
@@ -547,5 +547,5 @@ def integrate_normalized(
             rates[:] = new
 
     h = min(control.max_step, marks[0] - state.t) if marks else control.max_step
-    core.run(traj, h, -1, marks, moved)
+    core.run(traj, h, -1, marks, moved, evaluate.profile)
     return traj

@@ -23,7 +23,6 @@ from pcsflow.blowup import (
 )
 from pcsflow.checks import blowup_time_defect, exact_blowup_time, oracle_defects, split_defect
 from pcsflow.cli import bench_table, scaling_exponent
-from pcsflow.errors import AnalysisError
 from pcsflow.geometry import (
     PerturbationSpec,
     hausdorff_to_circle,

@@ -18,7 +18,7 @@ from pcsflow.blowup import (
     trap_margin,
 )
 from pcsflow.checks import blowup_time_defect, exact_blowup_time
-from pcsflow.errors import AnalysisError
+from pcsflow.errors import AnalysisError, PositivityError
 from pcsflow.spectral import FlowParams, SpectralState
 from pcsflow.stepping import StepControl, Trajectory, integrate
 
@@ -89,6 +89,16 @@ class TestCheckHypothesis:
                 hi = mid
         quantum = hi - lo
         assert abs(lo - 1.0 / 128.0) <= quantum + 1e-15
+
+    def test_positivity_on_the_grid_integrate_checks(self):
+        # 1 + 2 Re(c10 e^{10 i lam theta}) dips below 0, but between the 40
+        # points of the default grid; the 64-point padded grid sees the dip,
+        # and so does integrate, which refuses the start
+        psi = make_state(FlowParams(p=1, lam=2.0, n_max=10), {0: 1.0, 10: -0.4484 + 0.2877j})
+        rep = check_hypothesis(psi, 1e-3)
+        assert rep.margin > 0.0 and not rep.holds
+        with pytest.raises(PositivityError):
+            integrate(psi)
 
 
 class TestTrapMargin:

@@ -150,6 +150,11 @@ class TestStrictConfig:
             ("seed", 0, "unknown key(s) ['seed'] in top level"),
             ("control", {"tau_snapshot_interval": 0.1}, "unknown key(s) ['tau_snapshot_interval'] in control"),
             ("control", {"safety": 0.8}, "unknown key(s) ['safety'] in control"),
+            (
+                "init",
+                {"mean": 1.0, "harmonics": [{"n": 1, "cos": 0.01}, {"n": 1, "sin": 0.002}]},
+                "init.harmonics repeats n=1",
+            ),
         ],
         ids=[
             "params",
@@ -164,6 +169,7 @@ class TestStrictConfig:
             "seed",
             "tau_snapshot_interval",
             "safety",
+            "repeated_harmonic",
         ],
     )
     def test_malformed_shape(self, tmp_path, capsys, section, value, message):
@@ -369,6 +375,12 @@ class TestSimulate:
         assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_unwritable_trajectory_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "out" / "trajectory.jsonl"
+        blocker.mkdir(parents=True)
+        code = cli.main(["simulate", "--config", write_config(tmp_path, CONST_CONFIG), "--out", str(tmp_path / "out")])
+        assert_write_error(code, capsys.readouterr(), blocker)
+
     def test_t_resolution_floor_ends_in_step_floor(self, tmp_path, capsys):
         # at p=2 the default k0_stop=1e6 puts T - t ~ 1e-18 below ulp(T): the
         # run stops where t stalls, and estimating T from the crowded last
@@ -454,6 +466,15 @@ def assert_out_dir_error(code, captured):
     assert code == cli.EXIT_CONFIG
     err = captured.err
     assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
+    assert "Traceback" not in err and captured.out == ""
+
+
+def assert_write_error(code, captured, path):
+    """Exit 1 with one stderr line naming the file that cannot be written, no
+    traceback, no stdout."""
+    assert code == cli.EXIT_CONFIG
+    err = captured.err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert "Traceback" not in err and captured.out == ""
 
 
@@ -559,6 +580,12 @@ class TestAnalyze:
         code = cli.main(["analyze", "--traj", pert_run, "--what", "trap", "--out", str(blocker / "out")])
         assert_out_dir_error(code, capsys.readouterr())
 
+    def test_unwritable_report_exits_1(self, pert_run, tmp_path, capsys):
+        blocker = tmp_path / "reports" / "report_trap.json"
+        blocker.mkdir(parents=True)
+        code = cli.main(["analyze", "--traj", pert_run, "--what", "trap", "--out", str(tmp_path / "reports")])
+        assert_write_error(code, capsys.readouterr(), blocker)
+
     def with_header(self, pert_run, tmp_path, **fields):
         with open(pert_run) as fh:
             lines = fh.read().splitlines()
@@ -598,8 +625,24 @@ class TestAnalyze:
             ("params", {"p": 1, "lambda": None, "rational": [7, 2], "n_max": 8}, "malformed record"),
             ("params", {"p": True, "lambda": 3.5, "rational": [7, 2], "n_max": 8}, "p must be a positive integer"),
             ("params", {"p": 1, "lambda": 3.5, "rational": [7, 2], "n_max": True}, "n_max must be a positive integer"),
+            ("config", {"analysis": {"power_window": 5}}, "header analysis echo: analysis.power_window must be a pair"),
+            ("config", {"analysis": "x"}, "header analysis echo: analysis must be a mapping"),
+            ("config", {"analysis": {"window": [1, 2]}}, "header analysis echo: unknown key(s) ['window'] in analysis"),
+            ("config", {"analysis": []}, "header analysis echo: analysis must be a mapping"),
         ],
-        ids=["config_null", "config_list", "params_null", "params_list", "lambda_null", "p_bool", "n_max_bool"],
+        ids=[
+            "config_null",
+            "config_list",
+            "params_null",
+            "params_list",
+            "lambda_null",
+            "p_bool",
+            "n_max_bool",
+            "analysis_scalar_window",
+            "analysis_text",
+            "analysis_unknown_key",
+            "analysis_empty_list",
+        ],
     )
     def test_malformed_header_exit_4(self, pert_run, tmp_path, capsys, field, value, message):
         bad = self.with_header(pert_run, tmp_path, **{field: value})
@@ -850,6 +893,14 @@ class TestRender:
         code = cli.main(["render", "--traj", pert_run, "--frames", "2", "--out", str(blocker / "out")])
         assert_out_dir_error(code, capsys.readouterr())
 
+    @pytest.mark.parametrize("name", ["curves.svg", "frame_009.csv"], ids=["svg", "stale_frame"])
+    def test_unwritable_output_exits_1(self, pert_run, tmp_path, capsys, name):
+        # a directory where the SVG goes, or where a stale frame is removed
+        blocker = tmp_path / "frames" / name
+        blocker.mkdir(parents=True)
+        code = cli.main(["render", "--traj", pert_run, "--frames", "2", "--out", str(tmp_path / "frames")])
+        assert_write_error(code, capsys.readouterr(), blocker)
+
     @pytest.mark.parametrize(
         "command,edit,message",
         [
@@ -874,6 +925,26 @@ class TestRender:
         assert code == cli.EXIT_CONFIG
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command", [("normalize",), ("analyze", "--what", "normalized")], ids=["normalize", "analyze"]
+    )
+    def test_colliding_taus_exit_1(self, tmp_path_factory, tmp_path, capsys, command):
+        # a lam = 5/2 perturbed circle with its 7th snapshot one ulp after the
+        # 6th: the file reads, and the two times map to one tau, which the
+        # normalized series refuses; the normalized render does not need it
+        doc = json.loads(json.dumps(PERT_CONFIG))
+        doc["params"]["lambda"], doc["init"]["perturbation"]["n"] = "5/2", 5
+        code, run = run_simulation(tmp_path_factory.mktemp("lam_5_2"), doc)
+        assert code == cli.EXIT_OK
+        t6 = cli.read_trajectory(run)[0].times[5]
+        path = edited_snapshot(run, tmp_path, lambda rec: rec.__setitem__("t", math.nextafter(t6, math.inf)), 7)
+        code = cli.main([command[0], "--traj", str(path), *command[1:]])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err == "error: taus must be strictly increasing\n"
+        assert cli.main(["render", "--traj", str(path), "--normalized", "--out", str(tmp_path / "frames")]) == 0
+        capsys.readouterr()
 
     @staticmethod
     def frame_axis(traj, normalized):
@@ -997,6 +1068,15 @@ class TestBench:
         blocker.write_text("")
         code = cli.main(["bench", "--out", str(blocker / "out")])
         assert_out_dir_error(code, capsys.readouterr())
+
+    def test_unwritable_table_exits_1(self, tmp_path, capsys, monkeypatch):
+        rows = [{"p": p, "n_max": 16, "fast_ns": 1.0} for p in (1, 2, 3)]
+        monkeypatch.setattr(cli, "bench_table", lambda **kwargs: rows)
+        monkeypatch.setattr(cli, "scaling_exponent", lambda *args, **kwargs: 1.0)
+        blocker = tmp_path / "out" / "bench.csv"
+        blocker.mkdir(parents=True)
+        code = cli.main(["bench", "--out", str(tmp_path / "out")])
+        assert_write_error(code, capsys.readouterr(), blocker)
 
 
 def test_import_leaves_scipy_unloaded():

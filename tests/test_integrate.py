@@ -267,8 +267,8 @@ class TestRungLanding:
         assert not stopped
 
     def test_every_rung_landed_within_tolerance(self, cone_runs):
-        # rung members that miss, and rungs a pass crosses without one, are
-        # landed by Newton passes within 1e-12 of the rung
+        # every rung is a point on a step's extension with c0 set exactly to
+        # its level, a repeated product within 1e-12 of the power of the ratio
         for traj in cone_runs.values():
             ratio = 10 ** (1 / 40)
             levels = ratio ** np.arange(1, len(traj.snapshots))
@@ -324,7 +324,7 @@ def first_multi_rung_step(init: SpectralState, control: StepControl) -> np.ndarr
     return next(c0 for c0 in stacks if c0.size >= 2)
 
 
-class TestPasses:
+class TestMultiRungSteps:
     def test_at_most_three_rhs_calls_per_rung(self, monkeypatch):
         # snapshots are points on the steps' extensions, at no RHS call
         calls, evaluate = [0], RhsPlan.__call__
@@ -343,7 +343,7 @@ class TestPasses:
         [(cone_state(0), StepControl(k0_stop=1e4, snapshots_per_decade=400))],
         ids=["n_max8_400_per_decade"],
     )
-    def test_pass_stacks_at_most_its_cap(self, init, control):
+    def test_one_step_lands_many_rungs(self, init, control):
         # a step that crosses many rungs puts each within 1e-12 of its level
         traj = integrate(init, control)
         assert [e[1] for e in traj.events] == ["blow_up_stop"]
@@ -442,6 +442,24 @@ class TestLawsonAgainstDP5:
             for _ in range(substeps):
                 state, _ = step(state, (end.t - start.t) / substeps, control)
             assert np.max(np.abs(state.coeffs - end.coeffs)) / end.mean <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda init: integrate(init, StepControl(k0_stop=1e2)), lambda init: integrate_normalized(init, 1.0)],
+    ids=["integrate", "integrate_normalized"],
+)
+def test_one_rhs_plan_per_run(monkeypatch, run):
+    # the flow's plan evaluates the stages and gives the snapshots' profiles
+    built, init_plan = [0], RhsPlan.__init__
+
+    def counted(plan, params):
+        built[0] += 1
+        init_plan(plan, params)
+
+    monkeypatch.setattr(RhsPlan, "__init__", counted)
+    traj = run(cone_state(0))
+    assert len(traj.snapshots) > 2 and built[0] == 1
 
 
 class TestPositivity:
@@ -566,9 +584,9 @@ class TestIntegrateNormalized:
         assert default.times.tolist() == fine.times.tolist()
         assert np.max(np.abs(default.coeffs - fine.coeffs)) <= 1e-13
 
-    def test_first_pass_is_not_longer_than_the_first_mark(self):
-        # a first pass of max_step = 1 would stack ten mark members beside
-        # the step, and take four rejected passes (16 members) to shrink
+    def test_first_step_is_not_longer_than_the_first_mark(self):
+        # the first step is no longer than to the first mark (0.1), not
+        # max_step = 1, which would cross ten marks before error control shrank it
         init = make_state(FlowParams(p=1, lam=2.0, n_max=8), self.CONE)
         stats = integrate_normalized(init, 8.5, StepControl(), renormalize_mean=True).stats
         assert stats.rejected <= 4
@@ -593,8 +611,8 @@ class TestIntegrateNormalized:
     def test_normalized_blow_up_hits_step_floor(self, p):
         # super-equilibrium data blows up in finite tau; error control on the
         # growing mean shrinks dt until tau no longer resolves it, and the run
-        # halts with the event.  Passes whose stages overflow are rejected
-        # and shrink the step like any other.
+        # halts with the event.  Steps whose stages overflow are rejected
+        # and shrink like any other.
         params = FlowParams(p=p, lam=2.0, n_max=4)
         init = make_state(params, {0: 3.0, 1: 0.7})
         with np.errstate(over="ignore", invalid="ignore"):
@@ -605,8 +623,8 @@ class TestIntegrateNormalized:
         assert 0.0 < traj.stats.dt_min <= traj.stats.dt_max
 
     def test_min_step_does_not_bound_the_gap_to_a_mark(self):
-        # a mark is a member beside the controller's step, so min_step bounds
-        # the controller's steps only (here at least about 9e-3), not the gap
+        # a mark is a point on a step's extension, so min_step bounds the
+        # controller's steps only (here at least about 9e-3), not the gap
         # from a step to the next mark
         init = make_state(FlowParams(p=1, lam=2.0, n_max=8), {0: 1.0, 1: 0.0025, 2: 0.001j})
         traj = integrate_normalized(init, 1.0, StepControl(min_step=1e-3))
