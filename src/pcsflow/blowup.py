@@ -20,13 +20,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AnalysisError
-from .rhs import RhsPlan
+from .rhs import RhsPlan, diagonal_rates
 from .spectral import FlowParams, SpectralState, coeff_seminorm, lambda_threshold
 
 if TYPE_CHECKING:  # stepping imports trap_margin from here
     from .stepping import Trajectory
 
 __all__ = [
+    "circle_time",
     "alpha_exponent",
     "beta_rate",
     "select_c",
@@ -53,9 +54,14 @@ _EPS = np.finfo(float).eps
 _STOP_TOL = 1e-12
 
 
+def circle_time(p: int, k0: float) -> float:
+    """Time T - t = p/(p+1) k0^{-(p+1)} the circle of curvature k0 has left."""
+    return p / (p + 1) * k0 ** -(p + 1)
+
+
 def alpha_exponent(lam: float, n: int, p: int) -> float:
-    """Power-law decay exponent of mode n in (T - t)."""
-    return (lam**2 * n**2 - (p + 2) / p) * p / (p + 1)
+    """Power-law decay exponent -p/(p+1) ``diagonal_rates`` of mode n in (T - t)."""
+    return -diagonal_rates(p, lam, n) * p / (p + 1)
 
 
 def beta_rate(lam: float, p: int) -> float:
@@ -73,7 +79,7 @@ def select_c(params: FlowParams) -> float:
     lam, p = params.lam, params.p
     if not lam > lambda_threshold(p):
         raise ValueError(f"lam={lam} at or below the admissible threshold for p={p}")
-    return 64.0 * lam**2 / (lam**2 - (p + 2) / p)
+    return 64.0 * lam**2 / -diagonal_rates(p, lam, 1)
 
 
 def c_is_heuristic(p: int) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rhs
-from .blowup import estimate_T, select_c
+from .blowup import circle_time, estimate_T, select_c
 from .spectral import FlowParams, SpectralState, analyze_grid, synthesize
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "oracle_defects",
     "placement_defect",
     "split_defect",
-    "exact_blowup_time",
     "blowup_time_defect",
 ]
 
@@ -67,13 +66,8 @@ def split_defect(params: FlowParams) -> float:
     return max(placement_defect(params.p, params.lam, n) for n in range(params.n_max + 1))
 
 
-def exact_blowup_time(p: int, a: float) -> float:
-    """Blow-up time p / ((p+1) a^{p+1}) of constant data a."""
-    return p / ((p + 1) * a ** (p + 1))
-
-
 def blowup_time_defect(traj) -> float:
-    """Relative error of ``estimate_T`` on a run from constant data."""
-    exact = exact_blowup_time(traj.params.p, traj.snapshots[0].mean)
+    """Relative error of ``estimate_T`` on a run from constant data: against its start's ``circle_time``."""
+    exact = circle_time(traj.params.p, traj.snapshots[0].mean)
     T_est, _ = estimate_T(traj)
     return abs(T_est - exact) / exact

@@ -37,6 +37,7 @@ from .blowup import (
     c_is_heuristic,
     certify,
     check_hypothesis,
+    circle_time,
     envelope_check,
     estimate_T,
     fit_power,
@@ -59,10 +60,6 @@ EXIT_TRAP = 3
 EXIT_VERSION = 4
 EXIT_RATIONAL = 5
 EXIT_INCOMPLETE = 6
-
-# Largest params.n_max a config may ask for, 32 times the 2,048 of the largest
-# measured run; it is checked before any array is allocated.
-MAX_N_MAX = 65_536
 
 
 # ----------------------------------------------------------------------------
@@ -144,8 +141,6 @@ def _parse_params(section: dict) -> FlowParams:
     _require_keys(section, {"p", "lambda", "n_max"}, "params", required=("p", "lambda", "n_max"))
     lam_spec = section["lambda"]
     p, n_max = _integer(section["p"], "params.p"), _integer(section["n_max"], "params.n_max")
-    if n_max > MAX_N_MAX:
-        raise ConfigError(f"params.n_max must be at most {MAX_N_MAX}, got {n_max}")
     try:
         if isinstance(lam_spec, str):
             lam, rational = parse_lambda(lam_spec)
@@ -408,7 +403,7 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
 
 
 def metrics_csv(traj: Trajectory, c: float) -> str:
-    """Per-snapshot t, k0, T_est_running = t + p/(p+1) k0^-(p+1) (nan where
+    """Per-snapshot t, k0, T_est_running = t + circle_time(p, k0) (nan where
     k0 <= 0), trap_margin = k0 - c * seminorm2, seminorm2 and sup_dev = max
     |k - k0| on the default grid: each column computed for all snapshots at
     once from their stacked coefficients, the table written by one %.17g format."""
@@ -416,10 +411,10 @@ def metrics_csv(traj: Trajectory, c: float) -> str:
     t, coeffs = traj.times, traj.coeffs
     k0 = coeffs[:, 0].real
     # Python's pow per row: numpy's SIMD power loop can differ from libm's in the last bit
-    speed = np.array([k ** -(p + 1) if k > 0 else np.nan for k in k0.tolist()])
+    left = np.array([circle_time(p, k) if k > 0 else np.nan for k in k0.tolist()])
     margin, s2 = trap_margin(coeffs, c), coeff_seminorm(coeffs, 2.0)
     sup_dev = coeff_sup_deviation(coeffs, default_grid_size(traj.params))
-    table = np.column_stack([t, k0, t + (p / (p + 1)) * speed, margin, s2, sup_dev])
+    table = np.column_stack([t, k0, t + left, margin, s2, sup_dev])
     rows = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())
     return "t,k0,T_est_running,trap_margin,seminorm2,sup_dev\n" + rows
 
@@ -448,6 +443,13 @@ def _trap_constant(params: FlowParams, cfg: AnalysisConfig) -> tuple[float, str]
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     init = initial_state(config)
+    p, mean, k0_stop = config.params.p, init.mean, config.control.k0_stop
+    with np.errstate(over="ignore"):  # inf where Python's float power raises
+        left = circle_time(p, np.float64(mean))
+    if not 0.0 < left < math.inf:
+        raise ConfigError(f"init: mean {mean!r} at p={p} has blow-up time {left:.6g}, not a finite positive number")
+    if mean >= k0_stop:  # the ladder would have no rung to reach
+        raise ConfigError(f"init: mean {mean!r} must be below control.k0_stop={k0_stop!r}")
     c, _ = _trap_constant(config.params, config.analysis)
     out_dir = args.out or config.output.directory
     _make_out_dir(out_dir)
@@ -571,19 +573,17 @@ def _report_normalized(traj, cfg: AnalysisConfig) -> dict:
     return out
 
 
+# The reports of ``analyze --what``, in the order of its choices.
+REPORTS = {"rates": _report_rates, "trap": _report_trap, "blowup": _report_blowup, "normalized": _report_normalized}
+
+
 def cmd_analyze(args) -> int:
     if args.out:
         _make_out_dir(args.out)
     traj, header = read_trajectory(args.traj)
     cfg = _analysis_from_header(header, args.traj)
-    builders = {
-        "rates": _report_rates,
-        "trap": _report_trap,
-        "blowup": _report_blowup,
-        "normalized": _report_normalized,
-    }
     report = {"what": args.what, "source": args.traj}
-    report.update(builders[args.what](traj, cfg))
+    report.update(REPORTS[args.what](traj, cfg))
     text = json.dumps(report, indent=2)
     if args.out:
         with open(os.path.join(args.out, f"report_{args.what}.json"), "w") as fh:
@@ -792,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="post-process a trajectory file")
     ana.add_argument("--traj", required=True, help="trajectory.jsonl path")
-    ana.add_argument("--what", choices=("rates", "trap", "blowup", "normalized"), default="blowup")
+    ana.add_argument("--what", choices=tuple(REPORTS), default="blowup")
     ana.add_argument("--out", default=None, help="directory for the JSON report")
     ana.set_defaults(func=cmd_analyze)
 

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import OversizeError, PositivityError
-from .spectral import SpectralState
+from .spectral import SpectralState, pad_size
 
 __all__ = [
     "h_kernel",
@@ -66,19 +66,6 @@ def full_spectrum(state: SpectralState) -> np.ndarray:
     """Two-sided coefficient array z[j] = c[j - n_max], j = 0..2*n_max."""
     c = state.coeffs
     return np.concatenate([np.conj(c[:0:-1]), c])
-
-
-def pad_size(params) -> int:
-    """Dealiasing grid size: power of two >= (p+3)*n_max + 1.
-
-    A power of two keeps the FFT of an exactly constant grid exactly
-    spectral-pure, so constant data is an invariant subspace to the bit.
-    """
-    target = (params.p + 3) * params.n_max + 1
-    m = 16
-    while m < target:
-        m *= 2
-    return m
 
 
 class RhsPlan:

@@ -23,6 +23,11 @@ from numpy.fft import irfft, rfft
 
 from .errors import GridTooSmallError
 
+# FlowParams' bounds, checked before any array is allocated: n_max (32 times
+# the 2,048 of the largest measured run), the dealiasing grid (pad_size; that
+# of p = 1 at MAX_N_MAX) and lam * n_max (lam^2 n^2 and every rate finite).
+MAX_N_MAX, MAX_PAD, MAX_LAM_N = 65_536, 2**19, 1e150
+
 __all__ = [
     "FlowParams",
     "SpectralState",
@@ -76,6 +81,10 @@ class FlowParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.n_max > MAX_N_MAX:
+            raise ValueError(f"n_max must be at most {MAX_N_MAX}, got {self.n_max}")
+        if (pad := pad_size(self)) > MAX_PAD:
+            raise ValueError(f"dealiasing grid must be at most {MAX_PAD}, got {pad} at p={self.p}, n_max={self.n_max}")
         lam = self.lam
         if lam is None:
             raise ValueError("lam is required")
@@ -91,6 +100,8 @@ class FlowParams:
             raise ValueError(
                 f"lam={lam} must exceed sqrt((p+2)/p)={lambda_threshold(self.p):.6f} for p={self.p}"
             )
+        if not lam * self.n_max <= MAX_LAM_N:  # inf too
+            raise ValueError(f"lam*n_max must be at most {MAX_LAM_N:g}, got lam={lam}, n_max={self.n_max}")
 
     @property
     def period(self) -> float:
@@ -162,6 +173,19 @@ def next_fast_len(target: int) -> int:
 def default_grid_size(params: FlowParams, factor: int = 4) -> int:
     """Default sampling size: factor*n_max rounded up to an FFT-friendly length."""
     return next_fast_len(max(factor * params.n_max, 2 * params.n_max + 1))
+
+
+def pad_size(params) -> int:
+    """Dealiasing grid size: power of two >= (p+3)*n_max + 1.
+
+    A power of two keeps the FFT of an exactly constant grid exactly
+    spectral-pure, so constant data is an invariant subspace to the bit.
+    """
+    target = (params.p + 3) * params.n_max + 1
+    m = 16
+    while m < target:
+        m *= 2
+    return m
 
 
 def _require_grid(m: int, n_max: int, failure: str):

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blowup import _STOP_TOL, trap_margin
+from .blowup import _STOP_TOL, circle_time, trap_margin
 from .errors import IntegrationError, PositivityError
 from .rhs import RhsPlan, diagonal_rates, rhs_fast
 from .spectral import SpectralState
@@ -425,7 +425,7 @@ def integrate(
     The core runs on the clock ds = c[0]^{p+1} dt, where the diagonal part of
     the mode system has the constant rates L_n = (p+2)/p - lam^2 n^2 (L_0 =
     1/p), integrated exactly, and N(c) = rhs(c)/c[0]^{p+1} - L c.  The clock
-    slot holds the running blow-up time z = t + p/(p+1) c[0]^{-(p+1)}, with
+    slot holds the running blow-up time z = t + ``circle_time``(p, c[0]), with
     dz/ds = -p c[0]^{-(p+2)} N_0: it is constant on the circle, so the step
     adds no quadrature error of dt/ds ~ exp(-(p+1) s/p) to T - t, which the
     normalized-frame analysis needs to far below rel_tol.
@@ -452,10 +452,9 @@ def integrate(
         return grid
 
     def clock(y: np.ndarray) -> tuple[float, float]:
-        speed = y[0].real ** -(p + 1)
-        return float(y[-1].real) - p / (p + 1) * speed, speed
+        return float(y[-1].real) - circle_time(p, y[0].real), y[0].real ** -(p + 1)
 
-    z0 = init.t + p / (p + 1) * init.mean ** -(p + 1)
+    z0 = init.t + circle_time(p, init.mean)
     core = _Stepper(init.params, np.append(init.coeffs, z0), control, rhs, rates, clock)
     traj = Trajectory(params=init.params, snapshots=[init])
     ratio = 10.0 ** (1.0 / control.snapshots_per_decade)

@@ -15,13 +15,14 @@ from pcsflow.blowup import (
     alpha_exponent,
     beta_rate,
     check_hypothesis,
+    circle_time,
     envelope_check,
     estimate_T,
     fit_power,
     select_c,
     trap_margin,
 )
-from pcsflow.checks import blowup_time_defect, exact_blowup_time, oracle_defects, split_defect
+from pcsflow.checks import blowup_time_defect, oracle_defects, split_defect
 from pcsflow.cli import bench_table, scaling_exponent
 from pcsflow.geometry import (
     PerturbationSpec,
@@ -95,7 +96,7 @@ def test_criterion_01_exact_blow_up(constant_runs):
         # rescale where the check is well conditioned: integration error
         # amplifies as (k0/a)^{p+1}, so test just after one doubling
         i = next(i for i, s in enumerate(traj.snapshots) if s.mean >= 2 * a)
-        taus, u = normalized_frame(traj, exact_blowup_time(p, a))
+        taus, u = normalized_frame(traj, circle_time(p, a))
         dev = float(np.max(np.abs(synthesize(SpectralState(traj.params, taus[i], u[i]), 64) - 1.0)))
         worst_u = max(worst_u, dev)
         assert defect <= 1e-6

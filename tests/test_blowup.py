@@ -9,6 +9,7 @@ from pcsflow.blowup import (
     c_is_heuristic,
     certify,
     check_hypothesis,
+    circle_time,
     envelope_check,
     envelope_lower,
     envelope_upper,
@@ -17,7 +18,7 @@ from pcsflow.blowup import (
     select_c,
     trap_margin,
 )
-from pcsflow.checks import blowup_time_defect, exact_blowup_time
+from pcsflow.checks import blowup_time_defect
 from pcsflow.errors import AnalysisError, PositivityError
 from pcsflow.spectral import FlowParams, SpectralState
 from pcsflow.stepping import StepControl, Trajectory, integrate
@@ -145,7 +146,7 @@ class TestEstimateT:
             StepControl(rel_tol=1e-12, abs_tol=1e-16, k0_stop=k0_stop),
         )
         assert blowup_time_defect(traj) < 1e-6
-        assert estimate_T(traj)[1] < 1e-6 * exact_blowup_time(p, a)
+        assert estimate_T(traj)[1] < 1e-6 * circle_time(p, a)
 
     def test_requires_deep_run(self):
         params = FlowParams(p=1, lam=2.0, n_max=2)

@@ -20,7 +20,7 @@ from pcsflow.blowup import certify, trap_margin
 from pcsflow.errors import ConfigError, VersionError
 from pcsflow.geometry import polyline_csv, reconstruct_curve, render_svg
 from pcsflow.normalize import scale_factor, tau_of_t
-from pcsflow.spectral import FlowParams, SpectralState, coeff_seminorm, synthesize
+from pcsflow.spectral import MAX_N_MAX, FlowParams, SpectralState, coeff_seminorm, synthesize
 from pcsflow.stepping import RunStats, StepControl, Trajectory, integrate
 
 from conftest import make_state
@@ -180,7 +180,12 @@ class TestStrictConfig:
     @pytest.mark.parametrize(
         "section,value,message",
         [
-            ("params", {"p": 1, "lambda": 2.0, "n_max": cli.MAX_N_MAX + 1}, "params.n_max must be at most"),
+            ("params", {"p": 1, "lambda": 2.0, "n_max": MAX_N_MAX + 1}, "params: n_max must be at most"),
+            ("params", {"p": 1, "lambda": 1.0e200, "n_max": 8}, "params: lam*n_max must be at most 1e+150"),
+            ("params", {"p": 65_533, "lambda": 2.0, "n_max": 8}, "params: dealiasing grid must be at most 524288"),
+            ("init", {"mean": 1.0e-200}, "init: mean 1e-200 at p=1 has blow-up time inf"),
+            ("init", {"mean": 1.0e103}, "init: mean 1e+103 must be below control.k0_stop=10000.0"),
+            ("init", {"mean": 1.0e200}, "init: mean 1e+200 at p=1 has blow-up time 0"),
             ("analysis", {"c_override": 0.0}, "analysis.c_override must be positive"),
             ("analysis", {"c_override": -1.0}, "analysis.c_override must be positive"),
             ("analysis", {"rate_tolerance": 0}, "analysis.rate_tolerance must be positive"),
@@ -190,6 +195,11 @@ class TestStrictConfig:
         ],
         ids=[
             "n_max_above_bound",
+            "lambda_n_max_above_bound",
+            "dealiasing_grid_above_bound",
+            "mean_without_finite_blow_up_time",
+            "mean_above_k0_stop",
+            "mean_with_blow_up_time_zero",
             "zero_c_override",
             "negative_c_override",
             "zero_rate_tolerance",
@@ -647,6 +657,25 @@ class TestAnalyze:
     def test_malformed_header_exit_4(self, pert_run, tmp_path, capsys, field, value, message):
         bad = self.with_header(pert_run, tmp_path, **{field: value})
         self.assert_unreadable(capsys, bad, message)
+
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ({"lambda": 1.0e200, "rational": None}, "lam*n_max must be at most 1e+150"),
+            ({"p": 65_533}, "dealiasing grid must be at most 524288"),
+        ],
+        ids=["lambda_n_max_above_bound", "dealiasing_grid_above_bound"],
+    )
+    @pytest.mark.parametrize("what", ["rates", "trap", "normalized"])
+    def test_header_params_out_of_range_exit_4(self, pert_run, tmp_path, capsys, params, message, what):
+        # FlowParams refuses them before any report allocates or overflows
+        def keep(lines):
+            header = json.loads(lines[0])
+            header["params"].update(params)
+            return [json.dumps(header)] + lines[1:]
+
+        bad = edited_trajectory(pert_run, tmp_path, keep)
+        self.assert_unreadable(capsys, bad, message, ("analyze", "--what", what))
 
     @pytest.fixture(params=["analyze", "render"])
     def command(self, request, tmp_path):

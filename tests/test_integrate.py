@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pcsflow import stepping
-from pcsflow.blowup import estimate_T, select_c, trap_margin
-from pcsflow.checks import blowup_time_defect, exact_blowup_time
+from pcsflow.blowup import circle_time, estimate_T, select_c, trap_margin
+from pcsflow.checks import blowup_time_defect
 from pcsflow.errors import PositivityError
 from pcsflow.normalize import normalized_frame
 from pcsflow.rhs import RhsPlan, normalized_rhs
@@ -121,7 +121,7 @@ class TestIntegrateConstant:
         # stop lands within the predicted window of T
         t_end = traj.snapshots[-1].t
         k_end = traj.snapshots[-1].mean
-        assert abs(exact_blowup_time(p, a) - t_end - (p / (p + 1)) * k_end ** -(p + 1)) < 1e-8
+        assert abs(circle_time(p, a) - t_end - circle_time(p, k_end)) < 1e-8
 
     def test_invariant_subspace(self):
         params = FlowParams(p=1, lam=2.0, n_max=2)
@@ -584,12 +584,14 @@ class TestIntegrateNormalized:
         assert default.times.tolist() == fine.times.tolist()
         assert np.max(np.abs(default.coeffs - fine.coeffs)) <= 1e-13
 
-    def test_first_step_is_not_longer_than_the_first_mark(self):
+    def test_first_step_is_not_longer_than_the_first_mark(self, monkeypatch):
         # the first step is no longer than to the first mark (0.1), not
         # max_step = 1, which would cross ten marks before error control shrank it
+        lengths, attempt = [], stepping._Stepper.attempt
+        monkeypatch.setattr(stepping._Stepper, "attempt", lambda core, h: lengths.append(h) or attempt(core, h))
         init = make_state(FlowParams(p=1, lam=2.0, n_max=8), self.CONE)
-        stats = integrate_normalized(init, 8.5, StepControl(), renormalize_mean=True).stats
-        assert stats.rejected <= 4
+        integrate_normalized(init, 8.5, StepControl(), renormalize_mean=True)
+        assert lengths[0] <= 0.1
 
     def test_initial_positivity_required(self):
         params = FlowParams(p=1, lam=2.0, n_max=4)
