@@ -192,7 +192,7 @@ def estimate_T(traj: Trajectory) -> tuple[float, float]:
     at least 4 eps |T|.  No correction term (T-t)^{1+2/(p+1)} is fitted:
     fitting it moved T by less than that uncertainty on every run measured.
     Requires the run to have reached c[0] >= 1e3, a rung within ``_STOP_TOL``
-    below it included.
+    below it included, and c[0]^{-(p+1)} to stay a normal float over the window.
     """
     p = traj.params.p
     k0 = traj.k0
@@ -208,6 +208,8 @@ def estimate_T(traj: Trajectory) -> tuple[float, float]:
         sel = np.zeros_like(sel)
         sel[order] = True
     tw, yw = ts[sel], k0[sel] ** -(p + 1)
+    if yw.min() < np.finfo(float).tiny:
+        raise AnalysisError(f"c[0]^-(p+1) underflows over the fit window at p={p}; T cannot be fitted")
 
     def fit(tt, yy):
         # about the last time: near the t-resolution floor the t column alone

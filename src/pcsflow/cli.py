@@ -689,7 +689,13 @@ VERIFY_CHECKS = (
 )
 
 
+def _require_seed(seed: int):
+    if seed < 0:  # numpy's generators refuse it only once the work has begun
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+
+
 def cmd_verify(args) -> int:
+    _require_seed(args.seed)
     results = [(name, *fn(args.seed)) for name, fn in VERIFY_CHECKS]
     width = max(len(name) for name, *_ in results)
     all_ok = True
@@ -753,6 +759,7 @@ def scaling_exponent(rows: list[dict], key: str, p: int, n_range=(16, 256)) -> f
 
 
 def cmd_bench(args) -> int:
+    _require_seed(args.seed)
     if args.out:
         _make_out_dir(args.out)
     rows = bench_table(seed=args.seed)

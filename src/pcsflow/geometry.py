@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError
-from .spectral import FlowParams, SpectralState, analyze_grid, next_fast_len
+from .spectral import FlowParams, SpectralState, analyze_grid, fft_size
 
 __all__ = [
     "PerturbationSpec",
@@ -152,7 +152,7 @@ def radial_perturbation_curvature(spec: PerturbationSpec, params: FlowParams) ->
         raise ValueError(
             f"delta={spec.delta} too large: curvature {np.min(kappa):.3e} <= 0 near theta={bad:.4f}"
         )
-    m_grid = next_fast_len(max(8 * (2 * params.n_max + 1), 128))
+    m_grid = fft_size(max(8 * (2 * params.n_max + 1), 128))
     nu_grid = np.arange(m_grid) * (period / m_grid)
     theta, tol = nu_grid.copy(), 4 * np.finfo(float).eps * period
     for _ in range(_NEWTON_STEPS):

@@ -20,9 +20,9 @@ components.  Three evaluators are provided:
 * ``rhs_fast``        -- pseudospectral product on a zero-padded grid (``RhsPlan``,
                          one batched ``irfft`` that pads and one ``rfft`` a call).
 
-The padded grid has M >= (p+3)*n_max + 1 points (rounded up to a power of
-two), so products of band-limited factors cannot alias back into the band:
-all three evaluators agree to round-off.
+The padded grid has M = ``pad_size`` >= (p+3)*n_max + 1 points, so products
+of band-limited factors cannot alias back into the band: all three
+evaluators agree to round-off.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .spectral import SpectralState, pad_size
 __all__ = [
     "h_kernel",
     "diagonal_rates",
-    "pad_size",
     "RhsPlan",
     "rhs_direct",
     "rhs_convolution",
@@ -82,10 +81,8 @@ class RhsPlan:
 
     def __call__(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(mode derivative, padded-grid profile k) at the coefficients
-        c[..., 0..n_max], one row of each per row of a stack.  The "forward"
-        norm is the unscaled sum on the grid; with m a power of two it gives
-        the same bits as scaling the default norm by m and 1/m.  The rfft of
-        the real grid values leaves the mean's imaginary part exactly +0."""
+        c[..., 0..n_max], one row of each per row of a stack.  The rfft of the
+        real grid values leaves the mean's imaginary part exactly +0."""
         p, size = self.params.p, coeffs.shape[-1]
         grids = irfft(self._mult * coeffs[..., None, :], n=self.m, norm="forward")
         k, kd, kdd = grids[..., 0, :], grids[..., 1, :], grids[..., 2, :]

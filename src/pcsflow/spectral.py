@@ -7,7 +7,10 @@ Profiles are stored as a half spectrum: complex coefficients c[n] for
 
 The half spectrum maps directly onto numpy's rfft layout, which makes the
 grid <-> spectrum round trip exact for band-limited fields and prevents the
-realness constraint from drifting.  Grid samples are plain arrays, and each
+realness constraint from drifting.  Every transform uses norm="forward" (the
+synthesis is the plain sum of the modes) and every grid length comes from
+``fft_size``, a power of two: on those lengths constant data is exact in both
+directions, and the grids nest.  Grid samples are plain arrays, and each
 profile quantity has one function on bare half spectra c[..., 0..n_max]
 (one spectrum or a stack of rows).
 """
@@ -32,8 +35,9 @@ __all__ = [
     "FlowParams",
     "SpectralState",
     "lambda_threshold",
+    "fft_size",
     "default_grid_size",
-    "next_fast_len",
+    "pad_size",
     "synthesize",
     "analyze_grid",
     "coeff_seminorm",
@@ -154,38 +158,19 @@ class SpectralState:
         return SpectralState(self.params, self.t, self.coeffs * factor)
 
 
-def next_fast_len(target: int) -> int:
-    """Smallest 5-smooth integer (2^a 3^b 5^c) >= target: a length pocketfft
-    transforms fastest, as ``scipy.fft.next_fast_len(target, real=True)``."""
-    if target < 1:
-        raise ValueError(f"target length must be positive, got {target!r}")
-    n = int(target)
-    while True:
-        rest = n
-        for f in (2, 3, 5):
-            while rest % f == 0:
-                rest //= f
-        if rest == 1:
-            return n
-        n += 1
+def fft_size(target: int) -> int:
+    """Every grid length: the smallest power of two >= target."""
+    return 1 << (int(target) - 1).bit_length()
 
 
-def default_grid_size(params: FlowParams, factor: int = 4) -> int:
-    """Default sampling size: factor*n_max rounded up to an FFT-friendly length."""
-    return next_fast_len(max(factor * params.n_max, 2 * params.n_max + 1))
+def default_grid_size(params: FlowParams) -> int:
+    """Analysis grid size: fft_size(4*n_max), at least 2*n_max + 1 points."""
+    return fft_size(4 * params.n_max)
 
 
 def pad_size(params) -> int:
-    """Dealiasing grid size: power of two >= (p+3)*n_max + 1.
-
-    A power of two keeps the FFT of an exactly constant grid exactly
-    spectral-pure, so constant data is an invariant subspace to the bit.
-    """
-    target = (params.p + 3) * params.n_max + 1
-    m = 16
-    while m < target:
-        m *= 2
-    return m
+    """Dealiasing grid size: fft_size((p+3)*n_max + 1), at least 16 points."""
+    return fft_size(max(16, (params.p + 3) * params.n_max + 1))
 
 
 def _require_grid(m: int, n_max: int, failure: str):
@@ -201,7 +186,7 @@ def synthesize(state: SpectralState, grid_points: int | None = None) -> np.ndarr
     """
     m = default_grid_size(state.params) if grid_points is None else int(grid_points)
     _require_grid(m, state.params.n_max, "cannot resolve")
-    return irfft(state.coeffs, n=m) * m
+    return irfft(state.coeffs, n=m, norm="forward")
 
 
 def analyze_grid(params: FlowParams, values: np.ndarray) -> SpectralState:
@@ -212,7 +197,7 @@ def analyze_grid(params: FlowParams, values: np.ndarray) -> SpectralState:
     _require_grid(m, params.n_max, "underdetermines")
     if not np.all(np.isfinite(values)):
         raise ValueError("grid samples contain non-finite values")
-    spec = rfft(values) / m
+    spec = rfft(values, norm="forward")
     return SpectralState(params, 0.0, spec[: params.n_max + 1])
 
 
@@ -230,7 +215,7 @@ def coeff_sup_deviation(coeffs: np.ndarray, grid_points: int) -> np.ndarray:
     """Sup deviation from the mean, max |k - c[0]| on a grid of at least
     2*n_max + 1 points, of bare half spectra c[..., 0..n_max]."""
     _require_grid(grid_points, coeffs.shape[-1] - 1, "cannot resolve")
-    return np.max(np.abs(irfft(coeffs, n=grid_points) * grid_points - coeffs[..., :1].real), axis=-1)
+    return np.max(np.abs(irfft(coeffs, n=grid_points, norm="forward") - coeffs[..., :1].real), axis=-1)
 
 
 def coeff_cl_bound(coeffs: np.ndarray, lam: float, l: int) -> np.ndarray:
@@ -250,5 +235,5 @@ def grid_derivative_sup(state: SpectralState, l: int, grid_points: int | None = 
     n = np.arange(state.params.n_max + 1, dtype=np.float64)
     dcoeffs = state.coeffs * (1j * state.params.lam * n) ** l
     dcoeffs[0] = 0.0
-    m = grid_points if grid_points is not None else default_grid_size(state.params, factor=8)
+    m = grid_points if grid_points is not None else 2 * default_grid_size(state.params)
     return float(coeff_sup_deviation(dcoeffs, m))

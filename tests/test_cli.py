@@ -677,6 +677,20 @@ class TestAnalyze:
         bad = edited_trajectory(pert_run, tmp_path, keep)
         self.assert_unreadable(capsys, bad, message, ("analyze", "--what", what))
 
+    @pytest.mark.parametrize("what", ["rates", "blowup", "normalized"])
+    def test_underflowing_fit_window_exit_1(self, pert_run, tmp_path, capsys, what):
+        # an admitted p = 400 takes c[0]^-(p+1) below the smallest normal float
+        # over the whole window, where the line through it has no zero
+        def keep(lines):
+            header = json.loads(lines[0])
+            header["params"]["p"] = 400
+            return [json.dumps(header)] + lines[1:]
+
+        code = cli.main(["analyze", "--traj", str(edited_trajectory(pert_run, tmp_path, keep)), "--what", what])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and captured.out == ""
+        assert captured.err == "error: c[0]^-(p+1) underflows over the fit window at p=400; T cannot be fitted\n"
+
     @pytest.fixture(params=["analyze", "render"])
     def command(self, request, tmp_path):
         if request.param == "analyze":
@@ -959,15 +973,23 @@ class TestRender:
         "command", [("normalize",), ("analyze", "--what", "normalized")], ids=["normalize", "analyze"]
     )
     def test_colliding_taus_exit_1(self, tmp_path_factory, tmp_path, capsys, command):
-        # a lam = 5/2 perturbed circle with its 7th snapshot one ulp after the
-        # 6th: the file reads, and the two times map to one tau, which the
-        # normalized series refuses; the normalized render does not need it
+        # a lam = 5/2 perturbed circle whose first two snapshots sit one ulp
+        # apart just below t = 2^-4, where tau is in the next binade up, so a
+        # few ulps down some t and its successor map to one tau: the file
+        # reads, the normalized series refuses the pair, the render does not
         doc = json.loads(json.dumps(PERT_CONFIG))
         doc["params"]["lambda"], doc["init"]["perturbation"]["n"] = "5/2", 5
         code, run = run_simulation(tmp_path_factory.mktemp("lam_5_2"), doc)
         assert code == cli.EXIT_OK
-        t6 = cli.read_trajectory(run)[0].times[5]
-        path = edited_snapshot(run, tmp_path, lambda rec: rec.__setitem__("t", math.nextafter(t6, math.inf)), 7)
+        traj = cli.read_trajectory(run)[0]
+        t, (T, p) = 2.0**-4, (traj.T_est, traj.params.p)
+        for _ in range(64):
+            t = math.nextafter(t, 0.0)
+            if tau_of_t(t, T, p) == tau_of_t(math.nextafter(t, 1.0), T, p):
+                break
+        assert tau_of_t(t, T, p) == tau_of_t(math.nextafter(t, 1.0), T, p) and math.nextafter(t, 1.0) < traj.times[2]
+        path = edited_snapshot(run, tmp_path, lambda rec: rec.__setitem__("t", t), 1)
+        path = edited_snapshot(path, tmp_path, lambda rec: rec.__setitem__("t", math.nextafter(t, 1.0)), 2)
         code = cli.main([command[0], "--traj", str(path), *command[1:]])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
@@ -1079,6 +1101,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL  diagonal_split" in out
 
+    def test_negative_seed_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "VERIFY_CHECKS", (("not_run", lambda seed: pytest.fail("a check ran")),))
+        code = cli.main(["verify", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and captured.out == ""
+        assert captured.err == "config error: --seed must be nonnegative, got -1\n"
+
 
 class TestBench:
     def test_smoke_table_and_exponent(self, capsys):
@@ -1097,6 +1126,14 @@ class TestBench:
         blocker.write_text("")
         code = cli.main(["bench", "--out", str(blocker / "out")])
         assert_out_dir_error(code, capsys.readouterr())
+
+    def test_negative_seed_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "bench_table", lambda **kwargs: pytest.fail("bench_table ran"))
+        code = cli.main(["bench", "--seed", "-1", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and captured.out == ""
+        assert captured.err == "config error: --seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_table_exits_1(self, tmp_path, capsys, monkeypatch):
         rows = [{"p": p, "n_max": 16, "fast_ns": 1.0} for p in (1, 2, 3)]

@@ -100,6 +100,16 @@ class TestRadialPerturbationCurvature:
         s = radial_perturbation_curvature(spec, P72)
         assert np.max(np.abs(s.coeffs - mfold_curvature(2, P72).coeffs)) == 0.0
 
+    def test_delta_zero_is_exact_circle_at_every_n_max(self):
+        # the read-back grid is a power of two, where a constant transforms exactly
+        spec = PerturbationSpec(m=2, n=7, delta=0.0)
+        inexact = []
+        for n_max in range(1, 130):
+            params = FlowParams(p=1, lam=3.5, n_max=n_max, rational=(7, 2))
+            if not np.array_equal(radial_perturbation_curvature(spec, params).coeffs, mfold_curvature(2, params).coeffs):
+                inexact.append(n_max)
+        assert inexact == []
+
     def test_leading_order_coefficient(self):
         # kappa(nu) = 1 + delta (lam^2 - 1) cos(lam nu) + O(delta^2)
         for delta in (1e-3, 1e-4):

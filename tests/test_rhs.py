@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from pcsflow.checks import oracle_defects, placement_defect, split_defect
 from pcsflow.errors import OversizeError, PositivityError
-from pcsflow.rhs import RhsPlan, h_kernel, normalized_rhs, pad_size, rhs_direct, rhs_fast
-from pcsflow.spectral import FlowParams, SpectralState, lambda_threshold, synthesize
+from pcsflow.rhs import RhsPlan, h_kernel, normalized_rhs, rhs_direct, rhs_fast
+from pcsflow.spectral import FlowParams, SpectralState, lambda_threshold, pad_size, synthesize
 
 from conftest import make_state, random_trapped_state, rel_diff
 
@@ -138,10 +138,11 @@ class TestStructuralProperties:
                 assert rel_diff(rhs_fast(s.scaled(a)), a ** (p + 2) * rhs_fast(s)) < 1e-12
 
     def test_pad_size_rule(self):
-        params = FlowParams(p=3, lam=2.0, n_max=10)
-        m = pad_size(params)
-        assert m >= (3 + 3) * 10 + 1
-        assert m & (m - 1) == 0  # power of two
+        # the smallest power of two >= (p+3)*n_max + 1, at least 16; the
+        # 3-smooth length would be 18, 36, 27, 108, 288 and 648 instead
+        expected = {(1, 4): 32, (1, 8): 64, (2, 5): 32, (3, 17): 128, (1, 64): 512, (3, 100): 1024}
+        assert {case: pad_size(FlowParams(p=case[0], lam=2.0, n_max=case[1])) for case in expected} == expected
+        assert pad_size(FlowParams(p=1, lam=2.0, n_max=1)) == 16
 
 
 class TestRhsSplit:

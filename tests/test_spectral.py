@@ -12,9 +12,9 @@ from pcsflow.spectral import (
     coeff_cl_bound,
     coeff_seminorm,
     coeff_sup_deviation,
+    default_grid_size,
     grid_derivative_sup,
     lambda_threshold,
-    next_fast_len,
     parse_lambda,
     synthesize,
 )
@@ -104,11 +104,15 @@ class TestSynthesize:
                 assert round_trip_defect(s, m) <= 1e-12 * (1.0 + np.max(np.abs(s.coeffs)))
 
 
-def test_next_fast_len_matches_scipy():
-    from scipy.fft import next_fast_len as reference
-
-    mismatched = [t for t in range(1, 4097) if next_fast_len(t) != reference(t, real=True)]
-    assert mismatched == []
+def test_constant_sup_deviation_is_exact_on_the_default_grid():
+    # a power-of-two synthesis of c[0] alone is c[0] at every point
+    inexact = []
+    for n_max in range(1, 301):
+        coeffs = np.zeros((3, n_max + 1), dtype=np.complex128)
+        coeffs[:, 0] = (1.0, 4 / 3, math.pi)
+        if np.any(coeff_sup_deviation(coeffs, default_grid_size(FlowParams(p=1, lam=2.0, n_max=n_max)))):
+            inexact.append(n_max)
+    assert inexact == []
 
 
 class TestAnalyzeGrid:
