@@ -13,13 +13,15 @@ bench      timing table for the direct vs fast mode-derivative paths
 Exit codes: 0 clean, 1 config/schema error, an output that cannot be written
 or an analysis the trajectory cannot support (AnalysisError), 2 positivity
 loss, 3 trap violation, 4 trajectory unreadable: missing, torn, malformed (no
-snapshot, no trailer last, a bad T_est or analysis echo), or wrong format
-version, 5 rational lam required, 6 run ended without a terminal event.
+snapshot, no trailer last, a non-finite coefficient, a bad T_est or analysis
+echo), or a format version other than 1 or 2, 5 rational lam required, 6 run
+ended without a terminal event.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import math
 import os
@@ -51,7 +53,7 @@ from .rhs import DIRECT_N_MAX, DIRECT_P_MAX, rhs_convolution, rhs_direct, rhs_fa
 from .spectral import FlowParams, SpectralState, coeff_seminorm, coeff_sup_deviation, default_grid_size, parse_lambda
 from .stepping import RunStats, StepControl, Trajectory, integrate
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # written; read_trajectory also reads version 1
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -302,6 +304,14 @@ def initial_state(config: RunConfig) -> SpectralState:
 # trajectory files (JSON lines)
 
 
+def snapshot_record(state: SpectralState) -> str:
+    """One snapshot's JSON line in format version 2: ``t`` and ``k0`` as JSON
+    numbers, ``coeffs`` as one base64 block of the n_max + 1 coefficients in
+    little-endian complex128."""
+    block = base64.b64encode(state.coeffs.astype("<c16", copy=False).tobytes()).decode("ascii")
+    return json.dumps({"kind": "snapshot", "t": state.t, "k0": state.mean, "coeffs": block})
+
+
 def write_trajectory(path: str, traj: Trajectory, config_echo: dict):
     params = traj.params
     header = {
@@ -318,13 +328,7 @@ def write_trajectory(path: str, traj: Trajectory, config_echo: dict):
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         for s in traj.snapshots:
-            rec = {
-                "kind": "snapshot",
-                "t": s.t,
-                "k0": s.mean,
-                "coeffs": s.coeffs.view(np.float64).reshape(-1, 2).tolist(),
-            }
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(snapshot_record(s) + "\n")
         trailer = {
             "kind": "trailer",
             "events": [[t, kind, detail] for t, kind, detail in traj.events],
@@ -339,12 +343,42 @@ def _finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def _snapshot_coeffs(snapshots: list, version: int, n_max: int) -> np.ndarray:
+    """The coefficients of every snapshot record, stacked (N, n_max + 1):
+    version 1 holds [re, im] number pairs (bool, int and float entries pass;
+    text, null and ints outside int64/uint64 do not), version 2 one base64
+    block of 16 (n_max + 1) bytes each.  Anything else, and any non-finite
+    value, raises ``ValueError``."""
+    if version == 1:
+        pairs = np.array([rec["coeffs"] for rec in snapshots])
+        if pairs.dtype.kind not in "biuf" or pairs.shape != (len(snapshots), n_max + 1, 2):
+            raise ValueError(
+                f"snapshot coeffs must be {n_max + 1} [re, im] number pairs, "
+                f"got a {pairs.dtype} array of shape {pairs.shape}"
+            )
+        coeffs = pairs.astype(np.float64).view(np.complex128)[..., 0]
+    else:
+        try:  # a coeffs that is not a string raises TypeError
+            raw = [base64.b64decode(rec["coeffs"], validate=True) for rec in snapshots]
+        except ValueError as exc:  # binascii.Error, or text that is not ASCII
+            raise ValueError(f"snapshot coeffs are not base64: {exc}") from exc
+        width = 16 * (n_max + 1)
+        bad = next((len(r) for r in raw if len(r) != width), None)
+        if bad is not None:
+            raise ValueError(f"snapshot coeffs must be {width} bytes of complex128, got {bad}")
+        coeffs = np.frombuffer(b"".join(raw), "<c16").reshape(len(snapshots), n_max + 1)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("snapshot coeffs must be finite")
+    return coeffs
+
+
 def read_trajectory(path: str) -> tuple[Trajectory, dict]:
-    """Load a trajectory file.  A missing, unreadable, torn or malformed file
-    (no snapshot, a snapshot t that is not a finite number, snapshot coeffs
-    that are not n_max + 1 [re, im] number pairs, no trailer last, a T_est
-    neither null nor finite) raises ``TrajectoryError``; a wrong format
-    version its subtype ``VersionError``.  Keys a record does not use are
+    """Load a trajectory file of format version 1 or 2.  A missing,
+    unreadable, torn or malformed file (no snapshot, a snapshot t that is not
+    a finite number, snapshot coeffs that are not n_max + 1 finite
+    coefficients in the version's form, no trailer last, a T_est neither null
+    nor finite) raises ``TrajectoryError``; a version other than the integer
+    1 or 2 its subtype ``VersionError``.  Keys a record does not use are
     ignored, in snapshots and in the trailer's ``run_stats`` alike, so files
     from before a field was retired, or after one was added, still read."""
     try:
@@ -357,10 +391,9 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
     if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "header":
         raise VersionError(f"{path}: missing header record")
     header = lines[0]
-    if header.get("version") != FORMAT_VERSION:
-        raise VersionError(
-            f"{path}: format version {header.get('version')} != supported {FORMAT_VERSION}"
-        )
+    version = header.get("version")
+    if type(version) is not int or version not in (1, 2):
+        raise VersionError(f"{path}: format version {version!r} is not a supported one (1 or 2)")
     if not isinstance(header.get("config", {}), dict):
         raise TrajectoryError(f"{path}: header config is not a mapping")
     try:
@@ -382,16 +415,7 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
                 stats, known = rec.get("run_stats"), {f.name for f in fields(RunStats)}
                 traj.stats = RunStats(**{k: v for k, v in stats.items() if k in known}) if stats else None
         if snapshots:
-            # every [re, im] pair of every snapshot in one conversion: bool, int
-            # and float entries pass; text, null and ints outside int64/uint64 do not
-            pairs = np.array([rec["coeffs"] for rec in snapshots])
-            if pairs.dtype.kind not in "biuf" or pairs.shape != (len(snapshots), params.n_max + 1, 2):
-                raise ValueError(
-                    f"snapshot coeffs must be {params.n_max + 1} [re, im] number pairs, "
-                    f"got a {pairs.dtype} array of shape {pairs.shape}"
-                )
-            coeffs = pairs.astype(np.float64).view(np.complex128)[..., 0]
-            for rec, row in zip(snapshots, coeffs):
+            for rec, row in zip(snapshots, _snapshot_coeffs(snapshots, version, params.n_max)):
                 traj.append(SpectralState(params, rec["t"], row))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise TrajectoryError(f"{path}: malformed record ({type(exc).__name__}: {exc})") from exc

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io
 import json
@@ -342,7 +343,7 @@ class TestSimulate:
         code, traj_path = run_simulation(tmp_path, CONST_CONFIG)
         assert code == cli.EXIT_OK
         traj, header = cli.read_trajectory(traj_path)
-        assert header["version"] == 1
+        assert header["version"] == 2
         assert traj.T_est == pytest.approx(0.5, abs=1e-8)
         metrics = (tmp_path / "out" / "metrics.csv").read_text().strip().split("\n")
         assert metrics[0] == "t,k0,T_est_running,trap_margin,seminorm2,sup_dev"
@@ -488,12 +489,40 @@ def assert_write_error(code, captured, path):
     assert "Traceback" not in err and captured.out == ""
 
 
+def reference_snapshot_lines(traj):
+    """The snapshot records of format version 1, one [re, im] pair per
+    coefficient: the byte reference of the version-1 writer."""
+    return [
+        json.dumps(
+            {"kind": "snapshot", "t": s.t, "k0": s.mean, "coeffs": [[float(c.real), float(c.imag)] for c in s.coeffs]}
+        )
+        for s in traj.snapshots
+    ]
+
+
+def version_1_copy(path, dest):
+    """A copy of the trajectory file at ``path`` in format version 1: its
+    header with version 1, the snapshots as ``reference_snapshot_lines`` and
+    its trailer."""
+    with open(path) as fh:
+        header, *_, trailer = fh.read().splitlines()
+    snapshots = reference_snapshot_lines(cli.read_trajectory(str(path))[0])
+    dest.write_text("\n".join([json.dumps(dict(json.loads(header), version=1)), *snapshots, trailer]) + "\n")
+    return str(dest)
+
+
 @pytest.fixture(scope="module")
 def pert_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("pert")
     code, traj_path = run_simulation(tmp_path, PERT_CONFIG)
     assert code == cli.EXIT_OK
     return traj_path
+
+
+@pytest.fixture(scope="module")
+def pert_run_v1(pert_run, tmp_path_factory):
+    """The ``pert_run`` trajectory written in format version 1."""
+    return version_1_copy(pert_run, tmp_path_factory.mktemp("pert_v1") / "trajectory.jsonl")
 
 
 def edited_trajectory(pert_run, tmp_path, keep=None, **trailer):
@@ -607,6 +636,11 @@ class TestAnalyze:
     def test_version_mismatch_exit_4(self, pert_run, tmp_path):
         bad = self.with_header(pert_run, tmp_path, version=99)
         assert cli.main(["analyze", "--traj", str(bad), "--what", "trap"]) == cli.EXIT_VERSION
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "text"])
+    def test_non_integer_version_exit_4(self, pert_run, tmp_path, capsys, version):
+        bad = self.with_header(pert_run, tmp_path, version=version)
+        self.assert_unreadable(capsys, bad, f"format version {version!r} is not a supported one")
 
     def assert_unreadable(self, capsys, path, message, command=("analyze", "--what", "trap")):
         code = cli.main([command[0], "--traj", str(path), *command[1:]])
@@ -722,6 +756,10 @@ class TestAnalyze:
             lambda rec: rec["coeffs"][2].pop(),
             lambda rec: rec["coeffs"].pop(),
             lambda rec: rec["coeffs"][0].__setitem__(1, 0.5),
+            lambda rec: rec["coeffs"][2].__setitem__(0, float("nan")),
+            lambda rec: rec["coeffs"][2].__setitem__(1, float("inf")),
+            lambda rec: rec["coeffs"][0].__setitem__(0, float("nan")),
+            lambda rec: rec.__setitem__("coeffs", base64.b64encode(bytes(16 * 9)).decode()),
             lambda rec: rec.__setitem__("t", -1.0),
             lambda rec: rec.__setitem__("t", str(rec["t"])),
             lambda rec: rec.__setitem__("t", True),
@@ -734,14 +772,53 @@ class TestAnalyze:
             "short_pair",
             "ragged_snapshot",
             "non_real_mean",
+            "nan",
+            "inf",
+            "nan_mean",
+            "base64_block",
             "t_not_increasing",
             "t_text",
             "t_bool",
             "t_null",
         ],
     )
-    def test_malformed_snapshot_exit_4(self, pert_run, tmp_path, capsys, command, edit):
-        self.assert_unreadable(capsys, edited_snapshot(pert_run, tmp_path, edit), "malformed record", command)
+    def test_malformed_snapshot_exit_4(self, pert_run_v1, tmp_path, capsys, command, edit):
+        # records of format version 1, one [re, im] pair per coefficient
+        self.assert_unreadable(capsys, edited_snapshot(pert_run_v1, tmp_path, edit), "malformed record", command)
+
+    @staticmethod
+    def rewrite_block(change):
+        """An edit that replaces a version-2 record's block by ``change`` of
+        its complex128 values."""
+
+        def edit(rec):
+            values = np.frombuffer(base64.b64decode(rec["coeffs"]), "<c16").copy()
+            rec["coeffs"] = base64.b64encode(change(values).tobytes()).decode()
+
+        return edit
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda rec: rec.__setitem__("coeffs", rec["coeffs"][:7] + "*" + rec["coeffs"][8:]), "Only base64 data"),
+            (lambda rec: rec.__setitem__("coeffs", rec["coeffs"][:-1]), "Incorrect padding"),
+            (rewrite_block(lambda v: v[:-1]), "must be 144 bytes of complex128, got 128"),
+            (rewrite_block(lambda v: np.append(v, 0)), "must be 144 bytes of complex128, got 160"),
+            (rewrite_block(lambda v: np.where(np.arange(9) == 2, np.nan, v)), "must be finite"),
+            (rewrite_block(lambda v: np.where(np.arange(9) == 0, np.inf, v)), "must be finite"),
+            (rewrite_block(lambda v: v + np.where(np.arange(9) == 0, 0.5j, 0)), "zero mode must be real"),
+            (
+                lambda rec: rec.__setitem__(
+                    "coeffs", np.frombuffer(base64.b64decode(rec["coeffs"]), "<f8").reshape(-1, 2).tolist()
+                ),
+                "TypeError: argument should be a bytes-like object or ASCII string, not 'list'",
+            ),
+        ],
+        ids=["stray_star", "bad_padding", "short_block", "long_block", "nan", "inf_mean", "non_real_mean", "pairs"],
+    )
+    def test_malformed_block_exit_4(self, pert_run, tmp_path, capsys, command, edit, message):
+        # records of format version 2, one base64 block per snapshot
+        self.assert_unreadable(capsys, edited_snapshot(pert_run, tmp_path, edit), message, command)
 
     def test_header_echo_with_deleted_keys_gives_the_same_reports(self, pert_run, tmp_path, capsys):
         # older files echo the since-deleted top-level seed, control.safety
@@ -766,23 +843,36 @@ class TestAnalyze:
                 reports.append(dict(json.loads(capsys.readouterr().out), source=None))
             assert reports[0] == reports[1]
 
-    def test_bool_coefficient_entry_is_read(self, pert_run, tmp_path, capsys):
-        path = edited_snapshot(pert_run, tmp_path, lambda rec: rec["coeffs"][0].__setitem__(1, False))
+    def test_version_1_file_reads_bit_identically(self, pert_run, pert_run_v1):
+        v1, header = cli.read_trajectory(pert_run_v1)
+        v2, _ = cli.read_trajectory(pert_run)
+        assert header["version"] == 1
+        assert np.array_equal(v1.coeffs.view(np.uint64), v2.coeffs.view(np.uint64))  # signed zeros count
+        assert np.array_equal(v1.times.view(np.uint64), v2.times.view(np.uint64))
+        assert (v1.events, v1.T_est, v1.stats) == (v2.events, v2.T_est, v2.stats)
+
+    def test_version_1_file_gives_the_same_reports_and_renders(self, pert_run, pert_run_v1, tmp_path, capsys):
+        for what in ("rates", "trap", "blowup", "normalized"):
+            reports = []
+            for traj in (pert_run, pert_run_v1):
+                assert cli.main(["analyze", "--traj", traj, "--what", what]) == 0
+                reports.append(dict(json.loads(capsys.readouterr().out), source=None))
+            assert reports[0] == reports[1]
+        for extra in ([], ["--normalized"]):
+            outs = [tmp_path / f"{name}{len(extra)}" for name in ("v2", "v1")]
+            for traj, out in zip((pert_run, pert_run_v1), outs):
+                assert cli.main(["render", "--traj", traj, "--frames", "4", *extra, "--out", str(out)]) == 0
+            capsys.readouterr()
+            names = sorted(os.listdir(outs[0]))
+            assert len(names) == 5 and names == sorted(os.listdir(outs[1]))
+            assert all((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes() for name in names)
+
+    def test_bool_coefficient_entry_is_read(self, pert_run_v1, tmp_path, capsys):
+        path = edited_snapshot(pert_run_v1, tmp_path, lambda rec: rec["coeffs"][0].__setitem__(1, False))
         assert "false" in path.read_text()
-        assert cli.read_trajectory(str(path))[0].coeffs.tolist() == cli.read_trajectory(pert_run)[0].coeffs.tolist()
+        assert cli.read_trajectory(str(path))[0].coeffs.tolist() == cli.read_trajectory(pert_run_v1)[0].coeffs.tolist()
         assert cli.main(["analyze", "--traj", str(path), "--what", "trap"]) == 0
         capsys.readouterr()
-
-
-def reference_snapshot_lines(traj):
-    """The per-coefficient snapshot records that ``write_trajectory`` replaced:
-    the byte reference."""
-    return [
-        json.dumps(
-            {"kind": "snapshot", "t": s.t, "k0": s.mean, "coeffs": [[float(c.real), float(c.imag)] for c in s.coeffs]}
-        )
-        for s in traj.snapshots
-    ]
 
 
 class TestTrajectoryIO:
@@ -874,7 +964,15 @@ class TestTrajectoryIO:
         for run in (traj, extreme):
             path = tmp_path / "t.jsonl"
             cli.write_trajectory(str(path), run, {})
-            assert path.read_text().splitlines()[1:-1] == reference_snapshot_lines(run)
+            records = [json.loads(line) for line in path.read_text().splitlines()[1:-1]]
+            reference = [json.loads(line) for line in reference_snapshot_lines(run)]
+            assert [dict(rec, coeffs=None) for rec in records] == [dict(rec, coeffs=None) for rec in reference]
+            # each block is the n_max + 1 coefficients as little-endian complex128, bit for bit
+            blocks = np.array([np.frombuffer(base64.b64decode(rec["coeffs"], validate=True), "<c16") for rec in records])
+            assert np.array_equal(blocks.view(np.uint64), run.coeffs.view(np.uint64))
+            # and the version-1 records of the same snapshots read back to the same bits
+            back = cli.read_trajectory(version_1_copy(path, tmp_path / "v1.jsonl"))[0]
+            assert np.array_equal(back.coeffs.view(np.uint64), run.coeffs.view(np.uint64))
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "junk.jsonl"
