@@ -37,6 +37,7 @@ __all__ = [
     "trap_margin",
     "TrapCertificate",
     "certify",
+    "T_fit_points",
     "estimate_T",
     "RateFit",
     "fit_power",
@@ -52,6 +53,11 @@ _EPS = np.finfo(float).eps
 # Relative gap below k0_stop within which the stepping ladder's last rung, a
 # repeated product, counts as on it; estimate_T accepts a top rung there.
 _STOP_TOL = 1e-12
+
+# Default (T - t) windows: the mode-decay power-law fits, and the blow-up
+# envelope check (see envelope_check).
+POWER_WINDOW = (1e-6, 1e-2)
+ENVELOPE_WINDOW = (1e-4, 1e-3)
 
 
 def circle_time(p: int, k0: float) -> float:
@@ -111,18 +117,13 @@ def check_hypothesis(psi: SpectralState, c: float) -> HypothesisReport:
 
 @dataclass(frozen=True)
 class TrapCertificate:
-    """Margin series along a trajectory plus monitored decay parameters.
+    """The trap margin at each snapshot, as (t, margin) pairs.
 
     The certificate holds iff the margin is nonnegative at every snapshot.
-    gamma_fit is the fitted decay rate (in t) of the weighted tail and
-    mu_fit the fitted mode-decay rate (in n) at the last snapshot; both are
-    reported for comparison, never asserted.
     """
 
     c: float
     margins: list
-    gamma_fit: float | None = None
-    mu_fit: float | None = None
 
     @property
     def holds(self) -> bool:
@@ -133,70 +134,17 @@ class TrapCertificate:
         return min(m for _, m in self.margins)
 
 
-# Residuals beyond this many standard deviations are dropped by fit_loglinear's trim pass.
-_TRIM_SIGMA = 3.0
-
-
-def fit_loglinear(x: np.ndarray, y: np.ndarray):
-    """Least-squares slope of log y against x with one 3-sigma trim pass.
-
-    Returns (slope, intercept, stderr_of_slope, n_used).
-    """
-    x = np.asarray(x, dtype=float)
-    logy = np.log(np.asarray(y, dtype=float))
-    slope, intercept = np.polyfit(x, logy, 1)
-    resid = logy - (slope * x + intercept)
-    sigma = np.std(resid)
-    if sigma > 0:
-        keep = np.abs(resid) <= _TRIM_SIGMA * sigma
-        if keep.sum() >= max(3, int(0.5 * len(x))) and keep.sum() < len(x):
-            x, logy = x[keep], logy[keep]
-            slope, intercept = np.polyfit(x, logy, 1)
-            resid = logy - (slope * x + intercept)
-    n = len(x)
-    denom = np.sum((x - x.mean()) ** 2)
-    stderr = math.sqrt(max(np.sum(resid**2), 0.0) / max(n - 2, 1) / denom) if denom > 0 else float("inf")
-    return float(slope), float(intercept), float(stderr), n
-
-
 def certify(traj: Trajectory, c: float) -> TrapCertificate:
-    """Evaluate the trap margin at every snapshot and fit tail-decay rates."""
+    """Evaluate the trap margin at every snapshot."""
     coeffs = traj.coeffs
     if not len(coeffs):
         raise AnalysisError("trajectory has no snapshots")
-    ts, k0 = traj.times, coeffs[:, 0].real
-    tails = coeff_seminorm(coeffs, 2.0)
-    margins = list(zip(ts.tolist(), trap_margin(coeffs, c).tolist()))
-
-    gamma_fit = None
-    ok = tails > 1e3 * _EPS * k0.max()
-    if ok.sum() >= 8:
-        slope, _, _, _ = fit_loglinear(ts[ok], tails[ok])
-        gamma_fit = -slope
-
-    mu_fit = None
-    mags = np.abs(coeffs[-1, 1:])
-    above = mags > 1e3 * _EPS * k0[-1]
-    if above.sum() >= 3:
-        slope, _, _, _ = fit_loglinear(np.flatnonzero(above) + 1.0, mags[above])
-        mu_fit = -slope
-
-    return TrapCertificate(c=c, margins=margins, gamma_fit=gamma_fit, mu_fit=mu_fit)
+    return TrapCertificate(c=c, margins=list(zip(traj.times.tolist(), trap_margin(coeffs, c).tolist())))
 
 
-def estimate_T(traj: Trajectory) -> tuple[float, float]:
-    """Blow-up time from the last decade of snapshots.
-
-    The zero of the least-squares line through c[0]^{-(p+1)} against t; the
-    uncertainty is the spread of the estimate across thirds of the window,
-    at least 4 eps |T|.  No correction term (T-t)^{1+2/(p+1)} is fitted:
-    fitting it moved T by less than that uncertainty on every run measured.
-    Requires the run to have reached c[0] >= 1e3, a rung within ``_STOP_TOL``
-    below it included, and c[0]^{-(p+1)} to stay a normal float over the window.
-    """
-    p = traj.params.p
-    k0 = traj.k0
-    ts = traj.times
+def T_fit_points(k0: np.ndarray) -> np.ndarray:
+    """Mask of the snapshots ``estimate_T`` fits, given their c[0]: the last
+    decade (c[0] >= max c[0] / 10), or else the 8 largest c[0]."""
     if len(k0) < 12:
         raise AnalysisError(f"need at least 12 snapshots to estimate T, have {len(k0)}")
     k0_max = float(k0.max())
@@ -207,7 +155,23 @@ def estimate_T(traj: Trajectory) -> tuple[float, float]:
         order = np.argsort(k0)[-8:]
         sel = np.zeros_like(sel)
         sel[order] = True
-    tw, yw = ts[sel], k0[sel] ** -(p + 1)
+    return sel
+
+
+def estimate_T(traj: Trajectory) -> tuple[float, float]:
+    """Blow-up time from the last decade of snapshots (``T_fit_points``).
+
+    The zero of the least-squares line through c[0]^{-(p+1)} against t; the
+    uncertainty is the spread of the estimate across thirds of the window,
+    at least 4 eps |T|.  No correction term (T-t)^{1+2/(p+1)} is fitted:
+    fitting it moved T by less than that uncertainty on every run measured.
+    Requires the run to have reached c[0] >= 1e3, a rung within ``_STOP_TOL``
+    below it included, and c[0]^{-(p+1)} to stay a normal float over the window.
+    """
+    p = traj.params.p
+    k0 = traj.k0
+    sel = T_fit_points(k0)
+    tw, yw = traj.times[sel], k0[sel] ** -(p + 1)
     if yw.min() < np.finfo(float).tiny:
         raise AnalysisError(f"c[0]^-(p+1) underflows over the fit window at p={p}; T cannot be fitted")
 
@@ -240,11 +204,35 @@ class RateFit:
             raise ValueError(f"empty fit window {self.window}")
 
 
+# Residuals beyond this many standard deviations are dropped by fit_loglinear's trim pass.
+_TRIM_SIGMA = 3.0
+
+
+def fit_loglinear(x: np.ndarray, y: np.ndarray, window: tuple[float, float]) -> RateFit:
+    """Least-squares slope of log y against x with one 3-sigma trim pass, as
+    a ``RateFit`` over the caller's window with the points the fit kept."""
+    x = np.asarray(x, dtype=float)
+    logy = np.log(np.asarray(y, dtype=float))
+    slope, intercept = np.polyfit(x, logy, 1)
+    resid = logy - (slope * x + intercept)
+    sigma = np.std(resid)
+    if sigma > 0:
+        keep = np.abs(resid) <= _TRIM_SIGMA * sigma
+        if keep.sum() >= max(3, int(0.5 * len(x))) and keep.sum() < len(x):
+            x, logy = x[keep], logy[keep]
+            slope, intercept = np.polyfit(x, logy, 1)
+            resid = logy - (slope * x + intercept)
+    n = len(x)
+    denom = np.sum((x - x.mean()) ** 2)
+    stderr = math.sqrt(max(np.sum(resid**2), 0.0) / max(n - 2, 1) / denom) if denom > 0 else float("inf")
+    return RateFit(exponent=float(slope), stderr=float(stderr), window=window, n_points=n)
+
+
 def fit_power(
     traj: Trajectory,
     T: float,
     n: int,
-    window: tuple[float, float] = (1e-6, 1e-2),
+    window: tuple[float, float] = POWER_WINDOW,
 ) -> RateFit:
     """Log-log slope of |c[n](t)| against (T - t) over the given window.
 
@@ -264,9 +252,7 @@ def fit_power(
             f"mode {n}: only {int(ok.sum())} usable points in (T-t) window {window} "
             f"({int(in_window)} snapshots in window, rest at round-off floor)"
         )
-    slope, _, stderr, n_used = fit_loglinear(np.log(dts[ok]), mags[ok])
-    lo, hi = float(dts[ok].min()), float(dts[ok].max())
-    return RateFit(exponent=slope, stderr=stderr, window=(lo, hi), n_points=n_used)
+    return fit_loglinear(np.log(dts[ok]), mags[ok], (float(dts[ok].min()), float(dts[ok].max())))
 
 
 def envelope_lower(p: int, T: float, t) -> np.ndarray:
@@ -295,7 +281,7 @@ class EnvelopeReport:
 
 
 def envelope_check(
-    traj: Trajectory, T: float, window: tuple[float, float] = (1e-4, 1e-3)
+    traj: Trajectory, T: float, window: tuple[float, float] = ENVELOPE_WINDOW
 ) -> EnvelopeReport:
     """Check lower <= c[0](t) <= upper over a (T - t) window.
 

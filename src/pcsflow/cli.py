@@ -34,6 +34,9 @@ import yaml
 
 from . import checks
 from .blowup import (
+    ENVELOPE_WINDOW,
+    POWER_WINDOW,
+    T_fit_points,
     alpha_exponent,
     beta_rate,
     c_is_heuristic,
@@ -71,9 +74,9 @@ EXIT_INCOMPLETE = 6
 @dataclass(frozen=True)
 class AnalysisConfig:
     c_override: float | None = None
-    power_window: tuple = (1e-6, 1e-2)
+    power_window: tuple = POWER_WINDOW
     tau_window: tuple = (2.0, 8.0)
-    envelope_window: tuple = (1e-4, 1e-3)
+    envelope_window: tuple = ENVELOPE_WINDOW
     rate_tolerance: float = 0.10
 
 
@@ -506,27 +509,30 @@ def _analysis_from_header(header: dict, path: str) -> AnalysisConfig:
         raise TrajectoryError(f"{path}: header analysis echo: {exc}") from exc
 
 
-def _report_blowup(traj, cfg: AnalysisConfig) -> dict:
+def _fit_T(traj) -> dict:
+    """``estimate_T`` with its uncertainty, window in t and number of snapshots."""
     T_est, unc = estimate_T(traj)
-    env = envelope_check(traj, T_est, window=cfg.envelope_window)
-    return {
-        "T_est": T_est,
-        "T_uncertainty": unc,
-        "envelope": asdict(env),
-        "pass": bool(env.ok),
-    }
+    sel = T_fit_points(traj.k0)
+    window = [float(traj.times[sel].min()), float(traj.times[sel].max())]
+    return {"T_est": T_est, "T_uncertainty": unc, "T_window": window, "T_n_points": int(sel.sum())}
+
+
+def _report_blowup(traj, cfg: AnalysisConfig) -> dict:
+    out = _fit_T(traj)
+    env = envelope_check(traj, out["T_est"], window=cfg.envelope_window)
+    return {**out, "envelope": asdict(env), "pass": bool(env.ok)}
 
 
 def _report_rates(traj, cfg: AnalysisConfig) -> dict:
     params = traj.params
-    T_est, _ = estimate_T(traj)
+    out = _fit_T(traj)
     modes = []
     overall = True
     for n in range(1, min(3, params.n_max) + 1):
         theory = alpha_exponent(params.lam, n, params.p)
         tol = max(0.05, 0.12 * theory)
         try:
-            fit = fit_power(traj, T_est, n, window=cfg.power_window)
+            fit = fit_power(traj, out["T_est"], n, window=cfg.power_window)
         except AnalysisError as exc:
             modes.append({"n": n, "status": "insufficient", "detail": str(exc), "alpha_theory": theory})
             continue
@@ -540,11 +546,12 @@ def _report_rates(traj, cfg: AnalysisConfig) -> dict:
                 "stderr": fit.stderr,
                 "alpha_theory": theory,
                 "tolerance": tol,
+                "window": list(fit.window),
                 "n_points": fit.n_points,
                 "pass": ok,
             }
         )
-    return {"T_est": T_est, "modes": modes, "pass": overall}
+    return {**out, "modes": modes, "pass": overall}
 
 
 def _report_trap(traj, cfg: AnalysisConfig) -> dict:
@@ -557,43 +564,39 @@ def _report_trap(traj, cfg: AnalysisConfig) -> dict:
         "hypothesis": asdict(hyp),
         "holds": cert.holds,
         "min_margin": cert.min_margin,
-        "gamma_fit": cert.gamma_fit,
-        "mu_fit": cert.mu_fit,
         "pass": bool(cert.holds),
     }
 
 
 def _report_normalized(traj, cfg: AnalysisConfig) -> dict:
+    """The decay rates in tau of the normalized deviations, each as
+    ``<name>_rate`` (the fitted exponent's negative), ``_stderr``, ``_window``
+    and ``_n_points``, or a null rate and its ``_rate_detail``.  ``pass``
+    compares the sup rate with beta."""
     params = traj.params
-    T_est, _ = estimate_T(traj)
-    series = normalized_series(traj, T_est, cl_orders=(0, 1, 2))
+    out = _fit_T(traj)
+    series = normalized_series(traj, out["T_est"], cl_orders=(0, 1, 2))
     beta = beta_rate(params.lam, params.p)
-    sup_fit = fit_exponential(series.taus, series.sup_dev, window=cfg.tau_window)
-    sup_ok = abs(-sup_fit.exponent - beta) <= cfg.rate_tolerance * beta
-    out = {
-        "T_est": T_est,
-        "beta_theory": beta,
-        "sup_rate": -sup_fit.exponent,
-        "sup_window": list(sup_fit.window),
-        "sup_n_points": sup_fit.n_points,
-        "pass": bool(sup_ok),
-        "mean_rate_expected_about": 2 * beta,
-    }
-    try:
-        mean_fit = fit_exponential(
-            series.taus, series.mean_dev, window=(max(0.3, cfg.tau_window[0] / 2), cfg.tau_window[1])
-        )
-        out["mean_rate"] = -mean_fit.exponent
-        out["mean_window"] = list(mean_fit.window)
-    except AnalysisError as exc:
-        out["mean_rate"] = None
-        out["mean_rate_detail"] = str(exc)
-    for l in (0, 1, 2):
+    out.update(beta_theory=beta, mean_rate_expected_about=2 * beta)
+    lo, hi = cfg.tau_window
+    fits = [("sup", series.sup_dev, cfg.tau_window), ("mean", series.mean_dev, (max(0.3, lo / 2), hi))]
+    fits += [(f"c{l}", series.cl_dev[l], cfg.tau_window) for l in (0, 1, 2)]
+    for name, values, window in fits:
         try:
-            fit = fit_exponential(series.taus, series.cl_dev[l], window=cfg.tau_window)
-            out[f"c{l}_rate"] = -fit.exponent
-        except AnalysisError:
-            out[f"c{l}_rate"] = None
+            fit = fit_exponential(series.taus, values, window=window)
+        except AnalysisError as exc:
+            out.update({f"{name}_rate": None, f"{name}_rate_detail": str(exc)})
+            continue
+        out.update(
+            {
+                f"{name}_rate": -fit.exponent,
+                f"{name}_stderr": fit.stderr,
+                f"{name}_window": list(fit.window),
+                f"{name}_n_points": fit.n_points,
+            }
+        )
+    sup = out["sup_rate"]
+    out["pass"] = sup is not None and abs(sup - beta) <= cfg.rate_tolerance * beta
     return out
 
 

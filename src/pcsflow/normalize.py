@@ -124,10 +124,4 @@ def fit_exponential(
         raise AnalysisError(
             f"only {int(ok.sum())} points above the floor in tau window [{lo}, {hi}]"
         )
-    slope, _, stderr, n_used = fit_loglinear(taus[ok], values[ok])
-    return RateFit(
-        exponent=slope,
-        stderr=stderr,
-        window=(float(taus[ok].min()), float(taus[ok].max())),
-        n_points=n_used,
-    )
+    return fit_loglinear(taus[ok], values[ok], (float(taus[ok].min()), float(taus[ok].max())))

@@ -245,7 +245,6 @@ class TestCertify:
         cert = certify(perturbed_run, 256.0)
         assert cert.holds
         assert cert.min_margin == pytest.approx(0.36, abs=1e-6)
-        assert cert.gamma_fit is not None and cert.gamma_fit > 0
 
     def test_margins_match_trap_margin_per_snapshot(self, perturbed_run):
         # certify works on the stacked coefficients; trap_margin is the

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import pcsflow
 from pcsflow import cli
-from pcsflow.blowup import certify, trap_margin
+from pcsflow.blowup import T_fit_points, certify, estimate_T, trap_margin
 from pcsflow.errors import ConfigError, VersionError
 from pcsflow.geometry import polyline_csv, reconstruct_curve, render_svg
 from pcsflow.normalize import scale_factor, tau_of_t
@@ -590,6 +590,48 @@ class TestAnalyze:
         assert beta == pytest.approx(10.25)
         assert abs(report["sup_rate"] - beta) <= 0.1 * beta
         assert report["pass"] is True
+
+    def test_every_fit_reports_its_window_and_point_count(self, pert_run, capsys):
+        reports = {}
+        for what in ("blowup", "rates", "trap", "normalized"):
+            assert cli.main(["analyze", "--traj", pert_run, "--what", what]) == 0
+            reports[what] = json.loads(capsys.readouterr().out)
+        traj, _ = cli.read_trajectory(pert_run)
+        sel = T_fit_points(traj.k0)
+        for what in ("blowup", "rates", "normalized"):
+            report = reports[what]
+            assert (report["T_est"], report["T_uncertainty"]) == estimate_T(traj)
+            assert report["T_window"] == [traj.times[sel].min(), traj.times[sel].max()]
+            assert report["T_n_points"] == sel.sum() >= 8
+        fitted = [mode for mode in reports["rates"]["modes"] if mode["status"] == "fitted"]
+        assert fitted
+        for mode in fitted:
+            lo, hi = mode["window"]
+            assert 0 < lo < hi and mode["n_points"] >= 8 and mode["stderr"] >= 0
+        normalized = reports["normalized"]
+        for name in ("sup", "mean", "c0", "c1", "c2"):
+            keys = {key for key in normalized if key.startswith(f"{name}_")} - {"mean_rate_expected_about"}
+            if normalized[f"{name}_rate"] is None:
+                assert keys == {f"{name}_rate", f"{name}_rate_detail"}
+            else:
+                assert keys == {f"{name}_rate", f"{name}_stderr", f"{name}_window", f"{name}_n_points"}
+                lo, hi = normalized[f"{name}_window"]
+                assert lo < hi and normalized[f"{name}_n_points"] >= 8
+        assert normalized["sup_rate"] is not None
+        assert not {"gamma_fit", "mu_fit"} & set(reports["trap"])
+
+    def test_failed_sup_fit_is_reported(self, pert_run, tmp_path, capsys):
+        # a tau window past the last snapshot leaves every normalized series
+        # without points: each rate is null with its detail, and pass is false
+        with open(pert_run) as fh:
+            config = json.loads(fh.readline())["config"]
+        bad = self.with_header(pert_run, tmp_path, config=dict(config, analysis={"tau_window": [20.0, 30.0]}))
+        assert cli.main(["analyze", "--traj", str(bad), "--what", "normalized"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        for name in ("sup", "mean", "c0", "c1", "c2"):
+            assert report[f"{name}_rate"] is None
+            assert report[f"{name}_rate_detail"].startswith("only 0 points above the floor in tau window [")
 
     def test_run_landed_just_below_1e3_is_analysed(self, tmp_path, capsys):
         # the blow-up stop takes a last rung landed 4.5e-15 relative below k0_stop
