@@ -68,6 +68,6 @@ def split_defect(params: FlowParams) -> float:
 
 def blowup_time_defect(traj) -> float:
     """Relative error of ``estimate_T`` on a run from constant data: against its start's ``circle_time``."""
-    exact = circle_time(traj.params.p, traj.snapshots[0].mean)
+    exact = circle_time(traj.params.p, float(traj.k0[0]))
     T_est, _ = estimate_T(traj)
     return abs(T_est - exact) / exact

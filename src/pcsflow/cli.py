@@ -307,12 +307,12 @@ def initial_state(config: RunConfig) -> SpectralState:
 # trajectory files (JSON lines)
 
 
-def snapshot_record(state: SpectralState) -> str:
-    """One snapshot's JSON line in format version 2: ``t`` and ``k0`` as JSON
-    numbers, ``coeffs`` as one base64 block of the n_max + 1 coefficients in
-    little-endian complex128."""
-    block = base64.b64encode(state.coeffs.astype("<c16", copy=False).tobytes()).decode("ascii")
-    return json.dumps({"kind": "snapshot", "t": state.t, "k0": state.mean, "coeffs": block})
+def snapshot_record(t: float, coeffs: np.ndarray) -> str:
+    """One snapshot's JSON line in format version 2: ``t`` and ``k0`` = c[0]
+    as JSON numbers, ``coeffs`` as one base64 block of the n_max + 1
+    coefficients in little-endian complex128."""
+    block = base64.b64encode(coeffs.astype("<c16", copy=False).tobytes()).decode("ascii")
+    return json.dumps({"kind": "snapshot", "t": t, "k0": float(coeffs[0].real), "coeffs": block})
 
 
 def write_trajectory(path: str, traj: Trajectory, config_echo: dict):
@@ -330,8 +330,8 @@ def write_trajectory(path: str, traj: Trajectory, config_echo: dict):
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for s in traj.snapshots:
-            fh.write(snapshot_record(s) + "\n")
+        for t, coeffs in zip(traj.times.tolist(), traj.coeffs):
+            fh.write(snapshot_record(t, coeffs) + "\n")
         trailer = {
             "kind": "trailer",
             "events": [[t, kind, detail] for t, kind, detail in traj.events],
@@ -403,26 +403,25 @@ def read_trajectory(path: str) -> tuple[Trajectory, dict]:
         ph = header["params"]
         rational = tuple(ph["rational"]) if ph.get("rational") else None
         params = FlowParams(p=ph["p"], lam=ph["lambda"], n_max=ph["n_max"], rational=rational)
-        traj = Trajectory(params=params)
-        snapshots = []
+        snapshots, events, T_est, stats = [], [], None, None
         for rec in lines[1:]:
             if rec["kind"] == "snapshot":
                 if not _finite_number(rec["t"]):
                     raise ValueError(f"t is {rec['t']!r}, not a finite number")
                 snapshots.append(rec)
             elif rec["kind"] == "trailer":
-                traj.events = [(t, kind, detail) for t, kind, detail in rec["events"]]
-                T_est = traj.T_est = rec.get("T_est")
+                events = [(t, kind, detail) for t, kind, detail in rec["events"]]
+                T_est = rec.get("T_est")
                 if T_est is not None and not _finite_number(T_est):
                     raise ValueError(f"T_est is {T_est!r}, not null or a finite number")
                 stats, known = rec.get("run_stats"), {f.name for f in fields(RunStats)}
-                traj.stats = RunStats(**{k: v for k, v in stats.items() if k in known}) if stats else None
+                stats = RunStats(**{k: v for k, v in stats.items() if k in known}) if stats else None
         if snapshots:
-            for rec, row in zip(snapshots, _snapshot_coeffs(snapshots, version, params.n_max)):
-                traj.append(SpectralState(params, rec["t"], row))
+            coeffs = _snapshot_coeffs(snapshots, version, params.n_max)
+            traj = Trajectory(params, [rec["t"] for rec in snapshots], coeffs, events, T_est, stats)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise TrajectoryError(f"{path}: malformed record ({type(exc).__name__}: {exc})") from exc
-    if not traj.snapshots:
+    if not snapshots:
         raise TrajectoryError(f"{path}: no snapshot record")
     if lines[-1]["kind"] != "trailer":
         raise TrajectoryError(f"{path}: no trailer record at the end (cut short?)")
@@ -557,7 +556,7 @@ def _report_rates(traj, cfg: AnalysisConfig) -> dict:
 def _report_trap(traj, cfg: AnalysisConfig) -> dict:
     c, source = _trap_constant(traj.params, cfg)
     cert = certify(traj, c)
-    hyp = check_hypothesis(traj.snapshots[0], c)
+    hyp = check_hypothesis(SpectralState(traj.params, traj.times[0], traj.coeffs[0]), c)
     return {
         "c": c,
         "c_source": source,
@@ -629,7 +628,7 @@ def cmd_render(args) -> int:
     if m is None:
         print("render requires a rational lambda tag (n/m); this trajectory has none", file=sys.stderr)
         return EXIT_RATIONAL
-    snapshots, ts, T_est = traj.snapshots, traj.times, traj.T_est
+    ts, rows, T_est = traj.times, traj.coeffs, traj.T_est
     if T_est is None:
         try:
             T_est, _ = estimate_T(traj)
@@ -637,15 +636,14 @@ def cmd_render(args) -> int:
             if args.normalized:
                 raise
     if args.normalized:
-        axis, u = normalized_frame(traj, T_est)
-    else:
-        axis = ts if T_est is None else np.log10(np.maximum(T_est - ts, 1e-300))
+        ts, rows = normalized_frame(traj, T_est)
+    axis = ts if args.normalized or T_est is None else np.log10(np.maximum(T_est - ts, 1e-300))
     if args.frames >= len(axis):  # as many frames as candidates: every one of them
         picks = range(len(axis))
     else:
         targets = np.linspace(axis[0], axis[-1], args.frames)
         picks = sorted({int(np.argmin(np.abs(axis - x))) for x in targets})
-    states = [SpectralState(params, axis[i], u[i]) if args.normalized else snapshots[i] for i in picks]
+    states = [SpectralState(params, ts[i], rows[i]) for i in picks]
     label = "tau={:.3f}" if args.normalized else "t={:.6f}"
     frames = [(label.format(s.t), reconstruct_curve(s, m)) for s in states]
 

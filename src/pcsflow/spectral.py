@@ -34,6 +34,7 @@ MAX_N_MAX, MAX_PAD, MAX_LAM_N = 65_536, 2**19, 1e150
 __all__ = [
     "FlowParams",
     "SpectralState",
+    "half_spectra",
     "lambda_threshold",
     "fft_size",
     "default_grid_size",
@@ -123,7 +124,7 @@ class SpectralState:
 
     ``coeffs[n]`` is c[n] for 0 <= n <= n_max; negative modes are implied by
     conjugate symmetry and never stored.  c[0] is forced real on construction
-    (rejecting anything with a relative imaginary part above 1e-12).
+    (``half_spectra``).
     """
 
     params: FlowParams
@@ -131,19 +132,7 @@ class SpectralState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.params.n_max + 1,):
-            raise ValueError(
-                f"coeffs must have shape ({self.params.n_max + 1},), got {c.shape}"
-            )
-        c0 = c[0]
-        if c0.imag:  # a zero imaginary part passes against any scale
-            scale = max(abs(c0), float(np.max(np.abs(c))), 1e-300)
-            if abs(c0.imag) > 1e-12 * scale:
-                raise ValueError(f"zero mode must be real, got imaginary part {c0.imag!r}")
-        c[0] = c0.real
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", half_spectra(self.coeffs, (self.params.n_max + 1,)))
         object.__setattr__(self, "t", float(self.t))
 
     @property
@@ -156,6 +145,23 @@ class SpectralState:
 
     def scaled(self, factor: float) -> "SpectralState":
         return SpectralState(self.params, self.t, self.coeffs * factor)
+
+
+def half_spectra(coeffs, shape: tuple) -> np.ndarray:
+    """A read-only complex128 copy of one half spectrum or a stack of them,
+    of the given shape, with each c[0] forced real: a c[0] whose imaginary
+    part exceeds 1e-12 of its row's largest modulus raises ``ValueError``."""
+    c = np.array(coeffs, dtype=np.complex128)
+    if c.shape != shape:
+        raise ValueError(f"coeffs must have shape {shape}, got {c.shape}")
+    c0 = c[..., 0]
+    if c0.imag.any():  # a zero imaginary part passes against any scale
+        bad = np.abs(c0.imag) > 1e-12 * np.maximum(np.max(np.abs(c), axis=-1), 1e-300)
+        if bad.any():
+            raise ValueError(f"zero mode must be real, got imaginary part {c0.imag[bad].flat[0]!r}")
+    c[..., 0] = c0.real
+    c.setflags(write=False)
+    return c
 
 
 def fft_size(target: int) -> int:

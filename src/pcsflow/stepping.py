@@ -55,7 +55,7 @@ import numpy as np
 from .blowup import _STOP_TOL, circle_time, trap_margin
 from .errors import IntegrationError, PositivityError
 from .rhs import RhsPlan, diagonal_rates, rhs_fast
-from .spectral import SpectralState
+from .spectral import SpectralState, half_spectra
 
 __all__ = ["StepControl", "RunStats", "Trajectory", "step", "integrate", "integrate_normalized"]
 
@@ -172,22 +172,27 @@ class RunStats:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus run events and the estimated blow-up time.
+    """Snapshots as read-only arrays, strictly increasing ``times`` (N,) and
+    half spectra ``coeffs`` (N, n_max + 1) with c[0] forced real
+    (``half_spectra``), plus run events and the estimated blow-up time.
 
     Event kinds: blow_up_stop, positivity_loss, trap_violation, step_floor.
     ``stats`` is the integrator's ``RunStats`` for the run.
     """
 
     params: object
-    snapshots: list = field(default_factory=list)
+    times: np.ndarray
+    coeffs: np.ndarray
     events: list = field(default_factory=list)
     T_est: float | None = None
     stats: RunStats | None = None
 
-    def append(self, state: SpectralState):
-        if self.snapshots and not (state.t > self.snapshots[-1].t):
+    def __post_init__(self):
+        self.times = np.array(self.times, dtype=np.float64)
+        if not np.all(self.times[1:] > self.times[:-1]):
             raise ValueError("snapshot times must be strictly increasing")
-        self.snapshots.append(state)
+        self.times.setflags(write=False)
+        self.coeffs = half_spectra(self.coeffs, (len(self.times), self.params.n_max + 1))
 
     def add_event(self, t: float, kind: str, detail: str = ""):
         self.events.append((float(t), kind, detail))
@@ -196,13 +201,9 @@ class Trajectory:
         return any(e[1] == kind for e in self.events)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """The snapshots' half spectra stacked by row, shape (N, n_max + 1)."""
-        return np.array([s.coeffs for s in self.snapshots], np.complex128).reshape(-1, self.params.n_max + 1)
+    def snapshots(self) -> tuple:
+        """The snapshots as ``SpectralState``s, built on each access."""
+        return tuple(SpectralState(self.params, t, c) for t, c in zip(self.times.tolist(), self.coeffs))
 
     @property
     def k0(self) -> np.ndarray:
@@ -225,7 +226,7 @@ def step(
         out[:-1], out[-1] = rhs(state.with_coeffs(y[:-1])), 1.0
         return np.ones(1)
 
-    trial = _Stepper(state.params, np.append(state.coeffs, state.t), control, modes).attempt(dt)
+    trial = _Stepper(state, state.t, control, modes).attempt(dt)
     if trial.err == math.inf:
         raise IntegrationError(f"non-finite derivative at t={state.t:.6g} (|y|max={np.max(np.abs(trial.y)):.3e})")
     return state.with_coeffs(trial.y[:-1], t=state.t + dt), trial.err
@@ -268,15 +269,18 @@ _Trial = namedtuple("_Trial", "h y ks grid err")
 
 
 class _Stepper:
-    """The raw-array core: the point y = (c[0..n_max], clock slot), its FSAL
-    N(y) and profile grid from ``rhs(y, out)`` (which writes N(y) into out and
-    returns y's profile grid), the diagonal ``rates`` L (zero: plain DP5),
-    ``clock(y)`` giving the model time t and dt/ds (default: t is the slot),
-    the adaptive loop with its snapshot policy and the run's ``RunStats``."""
+    """The raw-array core: the point y = (c[0..n_max], clock slot) from
+    ``init``'s c and ``slot``, its FSAL N(y) and profile grid from ``rhs(y,
+    out)`` (which writes N(y) into out and returns y's profile grid), the
+    diagonal ``rates`` L (zero: plain DP5), ``clock(y)`` giving the model time
+    t and dt/ds (default: t is the slot), the adaptive loop with its snapshot
+    policy, and the run's snapshot rows (``init`` first), events and stats."""
 
-    def __init__(self, params, y, control: StepControl, rhs, rates=None, clock=lambda y: (float(y[-1].real), 1.0)):
-        self.params, self.control, self.rhs, self.clock = params, control, rhs, clock
+    def __init__(self, init, slot, control: StepControl, rhs, rates=None, clock=lambda y: (float(y[-1].real), 1.0)):
+        self.params, self.control, self.rhs, self.clock = init.params, control, rhs, clock
+        y = np.append(init.coeffs, slot)
         self.rates = np.zeros(y.size) if rates is None else rates
+        self.times, self.rows, self.events = [init.t], [init.coeffs], []
         self.stats, self.start = RunStats(rhs_evals=1, dt_min=math.inf), time.perf_counter()
         self.y, self.f = y, np.empty_like(y)
         self.grid = self.rhs(y, self.f)  # the first evaluation
@@ -288,8 +292,12 @@ class _Stepper:
     def t(self) -> float:
         return self.clock(self.y)[0]
 
-    def state(self) -> SpectralState:
-        return SpectralState(self.params, self.t, self.y[:-1])
+    def record(self):  # the one place a snapshot row is added
+        self.times.append(self.t)
+        self.rows.append(self.y[:-1])
+
+    def event(self, t: float, kind: str, detail: str):
+        self.events.append((float(t), kind, detail))
 
     def attempt(self, h: float) -> _Trial:
         """One Lawson DP5(4) step of length h from the current point, without
@@ -341,30 +349,30 @@ class _Stepper:
             lo, below = theta, level
         return np.array(thetas)
 
-    def visit(self, traj, t: float, record: bool) -> bool:
+    def visit(self, t: float, record: bool) -> bool:
         """Check the point the core moved to from time t: record it when asked
         or when its profile is no longer positive; True when that ends the run,
         in positivity_loss, or in step_floor once t no longer tells the point
         from the last snapshot."""
         gmin = float(self.grid.min())
         if record or gmin <= 0.0:
-            if self.t <= traj.snapshots[-1].t:
-                traj.add_event(t, "step_floor", "model time no longer advances")
+            if self.t <= self.times[-1]:
+                self.event(t, "step_floor", "model time no longer advances")
                 return True
-            traj.append(self.state())
+            self.record()
         if gmin <= 0.0:
-            traj.add_event(self.t, "positivity_loss", f"grid min={gmin:.3e}")
+            self.event(self.t, "positivity_loss", f"grid min={gmin:.3e}")
             return True
         return False
 
-    def run(self, traj, h: float, slot: int, levels: list, moved, profile) -> bool:
+    def run(self, h: float, slot: int, levels: list, moved, profile) -> tuple[Trajectory, bool]:
         """The adaptive loop both flows share: y[slot] reaches the increasing
-        ``levels`` in turn (module docstring); True when it reached the last.
-        ``moved(end)`` runs at each point the core moves onto, ``end`` at a
-        step's end, and ``profile`` is the flow's ``RhsPlan.profile``, the
-        padded grids of the levels' points.  ``max_step`` and the step floor
-        act on dt = h dt/ds.  Ends on the point reached, appended unless
-        recorded, and fills ``traj.stats``."""
+        ``levels`` in turn (module docstring).  ``moved(end)`` runs at each
+        point the core moves onto, ``end`` at a step's end, and ``profile`` is
+        the flow's ``RhsPlan.profile``, the padded grids of the levels' points.
+        ``max_step`` and the step floor act on dt = h dt/ds.  Ends on the point
+        reached, recorded unless it is already; returns the run's
+        ``Trajectory`` and whether y[slot] reached the last level."""
         control, stats, k, ended = self.control, self.stats, 0, False
         for _ in range(_MAX_STEPS):
             if reached := k == len(levels):
@@ -374,7 +382,7 @@ class _Stepper:
             proposal = min(h, control.max_step / speed, _SPAN / grow if grow > 0.0 else math.inf)
             dt = proposal * speed
             if t + dt == t or dt < control.min_step:
-                traj.add_event(t, "step_floor", f"dt={dt:.3e}")
+                self.event(t, "step_floor", f"dt={dt:.3e}")
                 break
             trial = self.attempt(proposal)
             h = proposal * _controller_factor(trial.err)
@@ -398,7 +406,7 @@ class _Stepper:
                 if end:
                     self.f = trial.ks[6]
                 moved(end)
-                if ended := self.visit(traj, t, not end):
+                if ended := self.visit(t, not end):
                     break
             dt = self.t - t
             if dt > 0.0:  # near the step floor an accepted step may no longer move t
@@ -406,13 +414,12 @@ class _Stepper:
             if ended:
                 break
         else:
-            traj.add_event(self.t, "step_floor", "max_steps exhausted")
-        if self.t > traj.snapshots[-1].t:
-            traj.append(self.state())
+            self.event(self.t, "step_floor", "max_steps exhausted")
+        if self.t > self.times[-1]:
+            self.record()
         stats.dt_min = stats.dt_min if stats.dt_max else 0.0
         stats.wall_s = time.perf_counter() - self.start
-        traj.stats = stats
-        return reached
+        return Trajectory(self.params, self.times, self.rows, self.events, stats=stats), reached
 
 
 def integrate(
@@ -455,8 +462,7 @@ def integrate(
         return float(y[-1].real) - circle_time(p, y[0].real), y[0].real ** -(p + 1)
 
     z0 = init.t + circle_time(p, init.mean)
-    core = _Stepper(init.params, np.append(init.coeffs, z0), control, rhs, rates, clock)
-    traj = Trajectory(params=init.params, snapshots=[init])
+    core = _Stepper(init, z0, control, rhs, rates, clock)
     ratio = 10.0 ** (1.0 / control.snapshots_per_decade)
     # the ladder up to the first rung at k0_stop or above; a rung that the
     # repeated products put within tolerance below k0_stop counts as on it
@@ -473,13 +479,14 @@ def integrate(
         margin = float(trap_margin(core.y[:-1], trap_c))
         core.stats.min_trap_margin = min(core.stats.min_trap_margin, margin)
         if margin < 0.0 and not negative:
-            traj.add_event(core.t, "trap_violation", f"margin={margin:.6e}")
+            core.event(core.t, "trap_violation", f"margin={margin:.6e}")
         negative = margin < 0.0
 
     if trap_c is not None:
         core.stats.min_trap_margin = math.inf
         moved(False)
-    if core.run(traj, 0.01 * p, 0, rungs, moved, evaluate.profile):
+    traj, reached = core.run(0.01 * p, 0, rungs, moved, evaluate.profile)
+    if reached:
         traj.add_event(core.t, "blow_up_stop", f"k0={core.y[0].real:.6e}")
     return traj
 
@@ -529,8 +536,7 @@ def integrate_normalized(
         out[-1] = 1.0
         return grid
 
-    core = _Stepper(state.params, np.append(state.coeffs, state.t), control, rhs, rates)
-    traj = Trajectory(params=init.params, snapshots=[state])
+    core = _Stepper(state, state.t, control, rhs, rates)
 
     if tau_snapshots is None:
         tau_snapshots = [j * _TAU_INTERVAL for j in range(1, int(tau_horizon / _TAU_INTERVAL) + 1)] + [tau_horizon]
@@ -546,5 +552,4 @@ def integrate_normalized(
             rates[:] = new
 
     h = min(control.max_step, marks[0] - state.t) if marks else control.max_step
-    core.run(traj, h, -1, marks, moved, evaluate.profile)
-    return traj
+    return core.run(h, -1, marks, moved, evaluate.profile)[0]

@@ -14,5 +14,18 @@ def make_state(params: FlowParams, entries: dict, t: float = 0.0) -> SpectralSta
 
 
 @pytest.fixture
+def states_built(monkeypatch):
+    """A one-entry list counting the ``SpectralState``s constructed from here on."""
+    built, init_state = [0], SpectralState.__init__
+
+    def counted(state, *args, **kwargs):
+        built[0] += 1
+        init_state(state, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralState, "__init__", counted)
+    return built
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -20,7 +20,7 @@ from pcsflow.blowup import (
 )
 from pcsflow.checks import blowup_time_defect
 from pcsflow.errors import AnalysisError, PositivityError
-from pcsflow.spectral import FlowParams, SpectralState
+from pcsflow.spectral import FlowParams
 from pcsflow.stepping import StepControl, Trajectory, integrate
 
 from conftest import make_state
@@ -169,12 +169,9 @@ class TestFitPower:
         # build an artificial trajectory with |c1| = 0.3 (T-t)^0.8 exactly
         params = FlowParams(p=1, lam=2.0, n_max=2)
         T = 0.5
-        traj = Trajectory(params=params)
-        for d in np.geomspace(1e-2, 1e-6, 40):
-            t = T - d
-            k0 = (2 * d) ** -0.5
-            coeffs = np.array([k0, 0.3 * d**0.8, 0.0], dtype=complex)
-            traj.append(SpectralState(params, t, coeffs))
+        d = np.geomspace(1e-2, 1e-6, 40)
+        coeffs = np.column_stack([(2 * d) ** -0.5, 0.3 * d**0.8, np.zeros(40)])
+        traj = Trajectory(params, T - d, coeffs)
         fit = fit_power(traj, T, 1)
         assert fit.exponent == pytest.approx(0.8, abs=1e-9)
         assert fit.n_points >= 30
@@ -257,8 +254,7 @@ class TestCertify:
         bad = perturbed_run.snapshots[0]
         coeffs = bad.coeffs.copy()
         coeffs[1] *= 1000.0
-        traj = Trajectory(params=bad.params)
-        traj.append(SpectralState(bad.params, 0.0, coeffs))
+        traj = Trajectory(bad.params, [0.0], [coeffs])
         cert = certify(traj, 256.0)
         assert not cert.holds
         assert cert.min_margin < 0

@@ -444,13 +444,14 @@ class TestMetricsCsv:
         # t stays below 1e-297, so T_est_running is p/(p+1) k0^-(p+1) with
         # every last bit of the power showing; rows 1 and 2 have k0 <= 0
         params = FlowParams(p=2, lam=2.0, n_max=5)
-        traj = Trajectory(params=params)
         means = rng.uniform(0.5, 2.0, size=64)
         means[1:3] = (0.0, -0.7)
-        for i, mean in enumerate(means):
+        rows = []
+        for mean in means:
             coeffs = rng.normal(size=6) * 0.01 + 1j * rng.normal(size=6) * 0.01
             coeffs[0] = mean
-            traj.append(SpectralState(params, 1e-300 * i, coeffs))
+            rows.append(coeffs)
+        traj = Trajectory(params, 1e-300 * np.arange(64), rows)
         text = cli.metrics_csv(traj, 4.0)
         assert text == reference_metrics_csv(traj, 4.0)
         running = [row.split(",")[2] for row in text.splitlines()[1:]]
@@ -909,12 +910,31 @@ class TestAnalyze:
             assert len(names) == 5 and names == sorted(os.listdir(outs[1]))
             assert all((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes() for name in names)
 
+    def test_tiny_imaginary_mean_reads_real(self, pert_run_v1, tmp_path):
+        # an imaginary part of 1e-14 of the mean's modulus is scrubbed, not rejected
+        def edit(rec):
+            rec["coeffs"][0][1] = 1e-14 * rec["coeffs"][0][0]
+
+        path = edited_snapshot(pert_run_v1, tmp_path, edit)
+        assert cli.read_trajectory(str(path))[0].coeffs.tolist() == cli.read_trajectory(pert_run_v1)[0].coeffs.tolist()
+
     def test_bool_coefficient_entry_is_read(self, pert_run_v1, tmp_path, capsys):
         path = edited_snapshot(pert_run_v1, tmp_path, lambda rec: rec["coeffs"][0].__setitem__(1, False))
         assert "false" in path.read_text()
         assert cli.read_trajectory(str(path))[0].coeffs.tolist() == cli.read_trajectory(pert_run_v1)[0].coeffs.tolist()
         assert cli.main(["analyze", "--traj", str(path), "--what", "trap"]) == 0
         capsys.readouterr()
+
+
+def test_io_and_reports_build_one_state(pert_run, tmp_path, states_built):
+    # reads, writes, metrics and every report work on the stacked arrays; the
+    # trap report's hypothesis check takes the first snapshot as a state
+    traj, _ = cli.read_trajectory(pert_run)
+    cli.write_trajectory(str(tmp_path / "t.jsonl"), traj, {})
+    cli.metrics_csv(traj, 256.0)
+    for report in cli.REPORTS.values():
+        report(traj, cli.AnalysisConfig())
+    assert states_built[0] == 1
 
 
 class TestTrajectoryIO:
@@ -959,16 +979,16 @@ class TestTrajectoryIO:
         else:
             lam = data.draw(st.floats(math.sqrt((p + 2) / p) + 1e-6, 50.0))
             params = FlowParams(p=p, lam=lam, n_max=n_max)
-        traj = Trajectory(params=params)
         times = sorted(data.draw(st.lists(finite, min_size=1, max_size=5, unique=True)))
+        rows = []
         for t in times:
             re = data.draw(st.lists(finite, min_size=n_max + 1, max_size=n_max + 1))
             im = data.draw(st.lists(finite, min_size=n_max, max_size=n_max))
-            traj.append(SpectralState(params, t, np.array(re) + 1j * np.array([0.0] + im)))
-        traj.events = data.draw(st.lists(st.tuples(finite, st.text(), st.text()), max_size=3))
-        traj.T_est = data.draw(st.none() | finite)
+            rows.append(np.array(re) + 1j * np.array([0.0] + im))
+        events = data.draw(st.lists(st.tuples(finite, st.text(), st.text()), max_size=3))
+        T_est = data.draw(st.none() | finite)
         count = st.integers(0, 10**9)
-        traj.stats = data.draw(
+        stats = data.draw(
             st.none()
             | st.builds(
                 RunStats,
@@ -981,6 +1001,7 @@ class TestTrajectoryIO:
                 wall_s=finite,
             )
         )
+        traj = Trajectory(params, times, rows, events, T_est, stats)
         echo = {"seed": data.draw(st.integers(0, 2**31))}
         path = str(tmp_path_factory.getbasetemp() / "round_trip.jsonl")
         cli.write_trajectory(path, traj, echo)
@@ -997,12 +1018,13 @@ class TestTrajectoryIO:
     def test_snapshot_records_match_reference(self, pert_run, tmp_path, rng):
         traj, _ = cli.read_trajectory(pert_run)
         # magnitudes up to 1e+-300 and signed zeros in every slot but Im c[0]
-        extreme = Trajectory(params=traj.params)
+        rows = []
         for t in range(20):
             pairs = rng.choice([-1.0, 1.0], (9, 2)) * 10.0 ** rng.uniform(-300, 300, (9, 2))
             pairs[rng.random((9, 2)) < 0.2] = -0.0
             pairs[0, 1] = 0.0
-            extreme.append(SpectralState(traj.params, float(t), pairs.view(np.complex128)[:, 0]))
+            rows.append(pairs.view(np.complex128)[:, 0])
+        extreme = Trajectory(traj.params, np.arange(20.0), rows)
         for run in (traj, extreme):
             path = tmp_path / "t.jsonl"
             cli.write_trajectory(str(path), run, {})

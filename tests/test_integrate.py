@@ -444,11 +444,14 @@ class TestLawsonAgainstDP5:
             assert np.max(np.abs(state.coeffs - end.coeffs)) / end.mean <= 1e-9
 
 
-@pytest.mark.parametrize(
+each_flow = pytest.mark.parametrize(
     "run",
     [lambda init: integrate(init, StepControl(k0_stop=1e2)), lambda init: integrate_normalized(init, 1.0)],
     ids=["integrate", "integrate_normalized"],
 )
+
+
+@each_flow
 def test_one_rhs_plan_per_run(monkeypatch, run):
     # the flow's plan evaluates the stages and gives the snapshots' profiles
     built, init_plan = [0], RhsPlan.__init__
@@ -460,6 +463,15 @@ def test_one_rhs_plan_per_run(monkeypatch, run):
     monkeypatch.setattr(RhsPlan, "__init__", counted)
     traj = run(cone_state(0))
     assert len(traj.snapshots) > 2 and built[0] == 1
+
+
+@each_flow
+def test_runs_build_no_state(states_built, run):
+    # the core records raw rows; states are built only at the API boundary
+    init = cone_state(0)
+    before = states_built[0]
+    traj = run(init)
+    assert len(traj.times) > 2 and states_built[0] == before
 
 
 class TestPositivity:
@@ -704,11 +716,22 @@ class TestTwoRouteConsistency:
 
 
 class TestTrajectory:
-    def test_append_requires_increasing_times(self):
-        traj = Trajectory(params=P1)
-        traj.append(make_state(P1, {0: 1.0}, t=0.0))
+    def test_constructor_requires_increasing_times(self):
+        rows = np.ones((2, P1.n_max + 1))
+        for times in ([0.0, 0.0], [0.0, math.nan]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Trajectory(P1, times, rows)
+
+    def test_rows_must_match_times(self):
+        with pytest.raises(ValueError, match=r"coeffs must have shape \(2, 5\), got \(3, 5\)"):
+            Trajectory(P1, [0.0, 1.0], np.ones((3, P1.n_max + 1)))
+
+    def test_arrays_are_read_only(self):
+        traj = Trajectory(P1, [0.0, 1.0], np.ones((2, P1.n_max + 1)))
         with pytest.raises(ValueError):
-            traj.append(make_state(P1, {0: 1.0}, t=0.0))
+            traj.times[1] = 2.0
+        with pytest.raises(ValueError):
+            traj.coeffs[1, 1] = 0.5
 
     def test_stacked_views_match_snapshots(self):
         traj = integrate(make_state(P1, {0: 1.0, 1: 0.002 + 0.001j}), StepControl(k0_stop=100.0))
@@ -719,7 +742,7 @@ class TestTrajectory:
         assert traj.mode(1).tolist() == [s.coeffs[1] for s in traj.snapshots]
 
     def test_empty_trajectory_views(self):
-        traj = Trajectory(params=P1)
+        traj = Trajectory(P1, [], np.empty((0, P1.n_max + 1)))
         assert traj.coeffs.shape == (0, P1.n_max + 1) and traj.coeffs.dtype == np.complex128
         assert traj.k0.shape == (0,) and traj.k0.dtype == np.float64
         assert traj.mode(1).shape == (0,)

@@ -41,9 +41,7 @@ class TestTau:
 
 
 def one_snapshot(state):
-    traj = Trajectory(params=state.params)
-    traj.append(state)
-    return traj
+    return Trajectory(state.params, [state.t], [state.coeffs])
 
 
 class TestRescale:
@@ -92,9 +90,7 @@ class TestNormalizedSeries:
 
     def test_cl_orders_present(self):
         params = FlowParams(p=1, lam=2.0, n_max=4)
-        traj = Trajectory(params=params)
-        for t in (0.0, 0.1, 0.2):
-            traj.append(make_state(params, {0: 1.0, 1: 0.01}, t=t))
+        traj = Trajectory(params, [0.0, 0.1, 0.2], [make_state(params, {0: 1.0, 1: 0.01}).coeffs] * 3)
         series = normalized_series(traj, 0.5, cl_orders=(0, 2))
         assert set(series.cl_dev) == {0, 2}
         # C^0 bound is 2|c1| * factor; C^2 bound multiplies by (lam n)^2 = 4

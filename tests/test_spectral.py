@@ -14,6 +14,7 @@ from pcsflow.spectral import (
     coeff_sup_deviation,
     default_grid_size,
     grid_derivative_sup,
+    half_spectra,
     lambda_threshold,
     parse_lambda,
     synthesize,
@@ -62,12 +63,17 @@ class TestSpectralState:
         coeffs[0] = 1.0 + 0.1j
         with pytest.raises(ValueError):
             SpectralState(P14, 0.0, coeffs)
+        # in a stack the tolerance is each row's own: a larger row does not excuse it
+        with pytest.raises(ValueError, match="zero mode must be real"):
+            half_spectra([np.full(5, 1e20), coeffs], (2, 5))
 
     def test_tiny_imaginary_part_is_scrubbed(self):
         coeffs = np.zeros(5, dtype=complex)
         coeffs[0] = 1.0 + 1e-14j
         s = SpectralState(P14, 0.0, coeffs)
         assert s.coeffs[0].imag == 0.0
+        stack = half_spectra([coeffs, 2 * coeffs], (2, 5))
+        assert stack[:, 0].tolist() == [1.0, 2.0]
 
     def test_coeffs_are_immutable(self):
         s = make_state(P14, {0: 1.0})
